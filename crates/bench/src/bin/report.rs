@@ -91,7 +91,8 @@ fn usage() {
     );
 }
 
-/// Load a store, printing its line diagnostics to stderr.
+/// Load a store, printing its line diagnostics to stderr; a line over the
+/// JSON limits rejects the whole file (exit 2).
 fn load(path: &str) -> LoadedStore {
     let loaded = match LoadedStore::from_path(path) {
         Ok(l) => l,
@@ -100,6 +101,9 @@ fn load(path: &str) -> LoadedStore {
             std::process::exit(1);
         }
     };
+    if let Some(d) = &loaded.refused {
+        fail(format!("{path}:{d}"));
+    }
     for d in &loaded.diagnostics {
         eprintln!("{path}:{d}");
     }

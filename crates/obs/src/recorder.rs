@@ -192,16 +192,20 @@ pub enum SpanKind {
     TraceReplay,
     /// Time spent in one batched replay walk (all variants together).
     ReplayBatch,
+    /// Time a sweep job spent rendering and writing one profile document
+    /// (kept out of `JobSimulate`).
+    ProfileWrite,
 }
 
 impl SpanKind {
-    pub const ALL: [SpanKind; 6] = [
+    pub const ALL: [SpanKind; 7] = [
         SpanKind::JobQueueWait,
         SpanKind::JobCompile,
         SpanKind::JobSimulate,
         SpanKind::StoreAppend,
         SpanKind::TraceReplay,
         SpanKind::ReplayBatch,
+        SpanKind::ProfileWrite,
     ];
 
     /// Stable snapshot key (histogram values are nanoseconds).
@@ -213,6 +217,7 @@ impl SpanKind {
             SpanKind::StoreAppend => "store_append_ns",
             SpanKind::TraceReplay => "trace_replay_ns",
             SpanKind::ReplayBatch => "replay_batch_ns",
+            SpanKind::ProfileWrite => "profile_write_ns",
         }
     }
 }

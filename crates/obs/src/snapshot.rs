@@ -23,7 +23,7 @@
 //! it parse to an empty section, so old snapshots stay readable.
 
 use crate::hist::HistSnapshot;
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 
 /// Identifies the snapshot schema in every rendered document.
 pub const SCHEMA: &str = "vmv-metrics/1";
@@ -223,8 +223,12 @@ impl Snapshot {
 
     /// Parse from JSON text (convenience over [`Snapshot::from_json`]).
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let doc = Json::parse(text).map_err(|JsonError { offset, message }| {
-            format!("metrics JSON invalid at byte {offset}: {message}")
+        let doc = Json::parse(text).map_err(|e| {
+            format!(
+                "metrics JSON invalid at byte {}: {}",
+                e.offset(),
+                e.message()
+            )
         })?;
         Snapshot::from_json(&doc)
     }

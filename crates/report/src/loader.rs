@@ -5,13 +5,17 @@
 //!
 //! The loader never fails on content: a malformed line, a `cat`-merged
 //! mid-file header or a duplicate key each produce a [`StoreDiagnostic`]
-//! and the load continues.  Only I/O errors propagate.
+//! and the load continues.  Only I/O errors propagate.  A line the JSON
+//! reader refuses under its nesting or size limits is diagnosed too, and
+//! also recorded in [`LoadedStore::refused`] so front ends can reject the
+//! file outright.
 
 use std::collections::HashSet;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
 use vmv_kernels::Benchmark;
+use vmv_sweep::json::JsonErrorKind;
 use vmv_sweep::store::{classify_store_line, RunRecord, StoreHeader, StoreLine};
 
 /// One thing the loader skipped or distrusts, anchored to a 1-based line
@@ -46,6 +50,10 @@ pub struct LoadedStore {
     pub duplicate_keys: usize,
     /// Line-numbered report of everything skipped or suspicious.
     pub diagnostics: Vec<StoreDiagnostic>,
+    /// The first line over the JSON reader's nesting or size limits.  A
+    /// torn record never nests that deep, so such a file was not written
+    /// by a sweep and should not be reported on.
+    pub refused: Option<StoreDiagnostic>,
 }
 
 impl LoadedStore {
@@ -74,6 +82,7 @@ impl LoadedStore {
             records: Vec::new(),
             duplicate_keys: 0,
             diagnostics: Vec::new(),
+            refused: None,
         };
         let mut seen: HashSet<String> = HashSet::new();
         for (i, line) in lines.enumerate() {
@@ -140,10 +149,11 @@ impl LoadedStore {
                     loaded.diagnostics.push(diag(what));
                 }
                 StoreLine::Malformed(e) => {
-                    loaded.diagnostics.push(diag(format!(
-                        "not valid JSON ({e}): {}",
-                        truncate(&line, 80)
-                    )));
+                    let d = diag(format!("not valid JSON ({e}): {}", truncate(&line, 80)));
+                    if e.kind() != JsonErrorKind::Syntax && loaded.refused.is_none() {
+                        loaded.refused = Some(d.clone());
+                    }
+                    loaded.diagnostics.push(d);
                 }
             }
         }
@@ -232,6 +242,28 @@ pub(crate) mod tests {
         assert_eq!(loaded.diagnostics.len(), 1);
         assert_eq!(loaded.diagnostics[0].line, 2);
         assert!(loaded.diagnostics[0].message.contains("not valid JSON"));
+    }
+
+    #[test]
+    fn lines_over_the_json_limits_are_refused_not_skipped() {
+        let text = format!(
+            "{}\n{}\n{}\n",
+            record("aaaa000011112222", "GSM_DEC", 10).to_json().render(),
+            "[".repeat(200_000),
+            "{\"torn\":",
+        );
+        let loaded = LoadedStore::from_text(&text);
+        assert_eq!(loaded.records.len(), 1);
+        assert_eq!(loaded.diagnostics.len(), 2);
+        let refused = loaded.refused.expect("the deep line is refused");
+        assert_eq!(refused.line, 2);
+        assert!(
+            refused.message.contains("deeper than"),
+            "{}",
+            refused.message
+        );
+        // A torn line alone is an ordinary diagnostic.
+        assert_eq!(LoadedStore::from_text("{\"torn\":\n").refused, None);
     }
 
     #[test]

@@ -410,7 +410,7 @@ mod tests {
     use vmv_sweep::profiles::parse_profile;
 
     fn demo_doc() -> ProfileDoc {
-        use vmv_sweep::profiles::{profile_json, ProfileMeta};
+        use vmv_sweep::profiles::{render_profile, ProfileMeta};
         let machine = vmv_machine::presets::vector2(2);
         let prepared = vmv_core::prepare(vmv_kernels::Benchmark::GsmDec, &machine).unwrap();
         let (outcome, profile) =
@@ -423,7 +423,7 @@ mod tests {
             variant: outcome.variant.name().to_string(),
             model: "Realistic".to_string(),
         };
-        parse_profile(&profile_json(&meta, &profile).render()).unwrap()
+        parse_profile(&render_profile(&meta, &profile)).unwrap()
     }
 
     #[test]

@@ -271,7 +271,7 @@ pub fn run_sweep(
     let run_serial = |i: usize, prepared: &Prepared| -> Result<RunRecord, String> {
         let job = &jobs[i];
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _simulate = vmv_obs::span(SpanKind::JobSimulate);
+            let simulate_span = vmv_obs::span(SpanKind::JobSimulate);
             // A shared `Prepared` that already carries a trace is served
             // by replay; classify before the call since the first
             // execution is also the one that records.
@@ -281,6 +281,10 @@ pub fn run_sweep(
                     let (outcome, profile) =
                         simulate_profiled(prepared, &job.point.machine, job.point.model)
                             .map_err(|e| e.to_string())?;
+                    // Rendering and writing the document is its own
+                    // span, not simulation time.
+                    drop(simulate_span);
+                    let _write = vmv_obs::span(SpanKind::ProfileWrite);
                     write_profile(
                         dir,
                         &meta_of(&job.key, job.point, job.benchmark, &outcome),
@@ -348,7 +352,7 @@ pub fn run_sweep(
                     // batched walk.
                     let batched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                         || -> Result<Vec<vmv_core::RunOutcome>, String> {
-                            let _simulate = vmv_obs::span(SpanKind::JobSimulate);
+                            let simulate_span = vmv_obs::span(SpanKind::JobSimulate);
                             let variants: Vec<_> = rest
                                 .iter()
                                 .map(|&i| (&jobs[i].point.machine, jobs[i].point.model))
@@ -360,10 +364,12 @@ pub fn run_sweep(
                                     let (outcomes, profiles) =
                                         simulate_batch_profiled(&prepared, &variants)
                                             .map_err(|e| e.to_string())?;
+                                    drop(simulate_span);
                                     for ((&i, outcome), profile) in
                                         rest.iter().zip(&outcomes).zip(&profiles)
                                     {
                                         let job = &jobs[i];
+                                        let _write = vmv_obs::span(SpanKind::ProfileWrite);
                                         write_profile(
                                             dir,
                                             &meta_of(&job.key, job.point, job.benchmark, outcome),

@@ -67,7 +67,7 @@ pub use fingerprint::{fnv1a64, full_fingerprint, schedule_fingerprint};
 pub use pareto::{frontier_indices, hardware_cost, pareto_report, render_pareto, ParetoEntry};
 pub use profiles::{
     default_dir as default_profile_dir, load_all as load_all_profiles, load_profile, parse_profile,
-    profile_json, write_profile, DocBlock, DocBundle, DocEvent, DocOp, DocRegion, ProfileDoc,
+    render_profile, write_profile, DocBlock, DocBundle, DocEvent, DocOp, DocRegion, ProfileDoc,
     ProfileMeta, PROFILE_SCHEMA,
 };
 pub use sensitivity::{render_sensitivity, sensitivity, AxisSensitivity};
