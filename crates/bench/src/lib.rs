@@ -1,5 +1,4 @@
-//! Helper routines shared by the `repro`/`sweep`/`bench` binaries and the
-//! Criterion benches.
+//! Helper routines shared by the command-line binaries.
 
 #![forbid(unsafe_code)]
 

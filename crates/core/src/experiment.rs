@@ -20,7 +20,10 @@ use std::sync::{Arc, OnceLock};
 use vmv_kernels::{Benchmark, BenchmarkBuild, IsaVariant};
 use vmv_machine::{IsaSupport, MachineConfig};
 use vmv_mem::MemoryModel;
-use vmv_sim::{Profile, ProfileStatics, RunStats, SimOptions, Simulator, Trace};
+use vmv_sim::{
+    replay_batch, replay_batch_profiled, Profile, ProfileStatics, ReplayAnalysis, RunStats,
+    SimOptions, Simulator, Trace, VariantState,
+};
 
 /// Hard cap on simulated (or replayed) cycles per run.
 const MAX_RUN_CYCLES: u64 = 2_000_000_000;
@@ -168,53 +171,16 @@ pub fn prepare(benchmark: Benchmark, machine: &MachineConfig) -> Result<Prepared
 ///
 /// The first call on a `Prepared` executes the program functionally and
 /// records its timing trace; every later call (any memory variant, any
-/// model) *replays* that trace — bit-identical `RunStats`, proven by
-/// `tests/lowered_differential.rs`, at a fraction of the cost.  Callers
-/// that want to benchmark raw execution use [`simulate_fresh`].
+/// model) *replays* that trace as a batch of one — bit-identical
+/// `RunStats`, proven by `tests/lowered_differential.rs`, at a fraction of
+/// the cost.  Callers that want to benchmark raw execution use
+/// [`simulate_fresh`].
 pub fn simulate(
     prepared: &Prepared,
     machine: &MachineConfig,
     model: MemoryModel,
 ) -> Result<RunOutcome, ExperimentError> {
-    if let Some(recorded) = prepared.trace.get() {
-        let stats = vmv_sim::replay(
-            &prepared.lowered,
-            &recorded.trace,
-            machine,
-            model,
-            MAX_RUN_CYCLES,
-        )
-        .map_err(|e| ExperimentError::Simulation(format!("{}: replay: {e}", machine.name)))?;
-        return Ok(RunOutcome {
-            config: machine.name.clone(),
-            benchmark: prepared.benchmark,
-            variant: prepared.variant,
-            memory_model: model,
-            stats,
-            check_failures: recorded.check_failures.clone(),
-        });
-    }
-    let mut sim = simulator_for(prepared, machine, model);
-    let (stats, trace) = sim
-        .run_lowered_recording(&prepared.lowered)
-        .map_err(|e| ExperimentError::Simulation(format!("{}: {e}", machine.name)))?;
-    let check_failures = prepared
-        .build
-        .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-    // A concurrent first-simulate may have won the race; either trace is
-    // equivalent (functional state does not depend on memory timing).
-    let _ = prepared.trace.set(Arc::new(Recorded {
-        trace,
-        check_failures: check_failures.clone(),
-    }));
-    Ok(RunOutcome {
-        config: machine.name.clone(),
-        benchmark: prepared.benchmark,
-        variant: prepared.variant,
-        memory_model: model,
-        stats,
-        check_failures,
-    })
+    simulate_with(prepared, machine, model, None).map(|(outcome, _)| outcome)
 }
 
 /// Retime an already-recorded benchmark against several memory variants in
@@ -226,38 +192,13 @@ pub fn simulate(
 ///
 /// Requires a recorded trace (some [`simulate`] call must have run first);
 /// errors otherwise.  Any per-variant replay failure (e.g. a cycle limit)
-/// fails the whole batch — callers wanting per-variant isolation fall back
-/// to serial [`simulate`] calls.
+/// fails the whole batch — callers wanting per-variant isolation retry
+/// each variant with [`simulate`], a batch of one.
 pub fn simulate_batch(
     prepared: &Prepared,
     variants: &[(&MachineConfig, MemoryModel)],
 ) -> Result<Vec<RunOutcome>, ExperimentError> {
-    let recorded = prepared.trace.get().ok_or_else(|| {
-        ExperimentError::Simulation(
-            "batched replay requires a recorded trace (simulate once first)".into(),
-        )
-    })?;
-    let analysis = vmv_sim::ReplayAnalysis::build(&prepared.lowered);
-    let mut states: Vec<vmv_sim::VariantState> = variants
-        .iter()
-        .map(|&(machine, model)| {
-            vmv_sim::VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES)
-        })
-        .collect();
-    let all = vmv_sim::replay_batch(&recorded.trace, &analysis, &mut states)
-        .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
-    Ok(all
-        .into_iter()
-        .zip(variants)
-        .map(|(stats, &(machine, model))| RunOutcome {
-            config: machine.name.clone(),
-            benchmark: prepared.benchmark,
-            variant: prepared.variant,
-            memory_model: model,
-            stats,
-            check_failures: recorded.check_failures.clone(),
-        })
-        .collect())
+    retime(prepared, variants, None).map(|(outcomes, _)| outcomes)
 }
 
 /// [`simulate`] with cycle attribution: returns the outcome plus a
@@ -271,37 +212,91 @@ pub fn simulate_profiled(
     model: MemoryModel,
 ) -> Result<(RunOutcome, Profile), ExperimentError> {
     let statics = prepared.profile_statics(machine);
-    if let Some(recorded) = prepared.trace.get() {
-        let (stats, profile) = vmv_sim::replay_profiled(
-            &prepared.lowered,
-            &recorded.trace,
-            machine,
-            model,
-            MAX_RUN_CYCLES,
-            &statics,
-        )
-        .map_err(|e| ExperimentError::Simulation(format!("{}: replay: {e}", machine.name)))?;
-        let outcome = RunOutcome {
-            config: machine.name.clone(),
-            benchmark: prepared.benchmark,
-            variant: prepared.variant,
-            memory_model: model,
-            stats,
-            check_failures: recorded.check_failures.clone(),
-        };
-        return Ok((outcome, profile));
+    let (outcome, profile) = simulate_with(prepared, machine, model, Some(&statics))?;
+    Ok((outcome, profile.expect("a profiled run yields a profile")))
+}
+
+/// [`simulate_batch`] with cycle attribution: the fused walk carries one
+/// extra profiling pass (not K), and `profiles[i]` is bit-identical to the
+/// profile [`simulate_profiled`] would produce for `variants[i]`.
+pub fn simulate_batch_profiled(
+    prepared: &Prepared,
+    variants: &[(&MachineConfig, MemoryModel)],
+) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
+    // An empty batch needs no statics: it retimes nothing.
+    let statics = variants
+        .first()
+        .map(|&(machine, _)| prepared.profile_statics(machine));
+    retime(prepared, variants, statics.as_ref())
+}
+
+/// Simulate by full functional execution, never recording or replaying a
+/// trace.  Results are identical to [`simulate`]; this entry point exists
+/// for callers that specifically measure the execution engine (`bench`).
+pub fn simulate_fresh(
+    prepared: &Prepared,
+    machine: &MachineConfig,
+    model: MemoryModel,
+) -> Result<RunOutcome, ExperimentError> {
+    execute(prepared, machine, model, false, None).map(|(outcome, _)| outcome)
+}
+
+/// The adaptive body of [`simulate`] and [`simulate_profiled`]: execute and
+/// record on first sight of `prepared`, otherwise retime its trace as a
+/// batch of one.
+fn simulate_with(
+    prepared: &Prepared,
+    machine: &MachineConfig,
+    model: MemoryModel,
+    statics: Option<&Arc<ProfileStatics>>,
+) -> Result<(RunOutcome, Option<Profile>), ExperimentError> {
+    if !prepared.has_trace() {
+        return execute(prepared, machine, model, true, statics);
     }
+    let (mut outcomes, mut profiles) = retime(prepared, &[(machine, model)], statics)?;
+    Ok((
+        outcomes.pop().expect("one outcome per variant"),
+        profiles.pop(),
+    ))
+}
+
+/// Execute `prepared` with the lowered engine.  `record` keeps the run's
+/// timing trace on `prepared` for later retiming; `statics` turns on cycle
+/// attribution.
+fn execute(
+    prepared: &Prepared,
+    machine: &MachineConfig,
+    model: MemoryModel,
+    record: bool,
+    statics: Option<&Arc<ProfileStatics>>,
+) -> Result<(RunOutcome, Option<Profile>), ExperimentError> {
     let mut sim = simulator_for(prepared, machine, model);
-    let (stats, trace, profile) = sim
-        .run_lowered_recording_profiled(&prepared.lowered, &statics)
-        .map_err(|e| ExperimentError::Simulation(format!("{}: {e}", machine.name)))?;
+    let program = &prepared.lowered;
+    let run = match (record, statics) {
+        (false, None) => sim.run_lowered(program).map(|stats| (stats, None, None)),
+        (false, Some(statics)) => sim
+            .run_lowered_profiled(program, statics)
+            .map(|(stats, profile)| (stats, None, Some(profile))),
+        (true, None) => sim
+            .run_lowered_recording(program)
+            .map(|(stats, trace)| (stats, Some(trace), None)),
+        (true, Some(statics)) => sim
+            .run_lowered_recording_profiled(program, statics)
+            .map(|(stats, trace, profile)| (stats, Some(trace), Some(profile))),
+    };
+    let (stats, trace, profile) =
+        run.map_err(|e| ExperimentError::Simulation(format!("{}: {e}", machine.name)))?;
     let check_failures = prepared
         .build
         .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-    let _ = prepared.trace.set(Arc::new(Recorded {
-        trace,
-        check_failures: check_failures.clone(),
-    }));
+    if let Some(trace) = trace {
+        // A concurrent first-simulate may have won the race; either trace
+        // is equivalent (functional state does not depend on memory timing).
+        let _ = prepared.trace.set(Arc::new(Recorded {
+            trace,
+            check_failures: check_failures.clone(),
+        }));
+    }
     let outcome = RunOutcome {
         config: machine.name.clone(),
         benchmark: prepared.benchmark,
@@ -313,32 +308,32 @@ pub fn simulate_profiled(
     Ok((outcome, profile))
 }
 
-/// [`simulate_batch`] with cycle attribution: the fused walk carries one
-/// extra profiling pass (not K), and `profiles[i]` is bit-identical to the
-/// profile [`simulate_profiled`] would produce for `variants[i]`.
-pub fn simulate_batch_profiled(
+/// Retime the recorded trace of `prepared` against every variant in one
+/// batched walk; `statics` turns on cycle attribution (the profiles come
+/// back empty without it).
+fn retime(
     prepared: &Prepared,
     variants: &[(&MachineConfig, MemoryModel)],
+    statics: Option<&Arc<ProfileStatics>>,
 ) -> Result<(Vec<RunOutcome>, Vec<Profile>), ExperimentError> {
     let recorded = prepared.trace.get().ok_or_else(|| {
         ExperimentError::Simulation(
             "batched replay requires a recorded trace (simulate once first)".into(),
         )
     })?;
-    let statics = match variants.first() {
-        Some(&(machine, _)) => prepared.profile_statics(machine),
-        None => return Ok((Vec::new(), Vec::new())),
-    };
-    let analysis = vmv_sim::ReplayAnalysis::build(&prepared.lowered);
-    let mut states: Vec<vmv_sim::VariantState> = variants
+    let analysis = ReplayAnalysis::build(&prepared.lowered);
+    let states: Vec<VariantState> = variants
         .iter()
-        .map(|&(machine, model)| {
-            vmv_sim::VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES)
-        })
+        .map(|&(machine, model)| VariantState::new(&analysis, machine, model, MAX_RUN_CYCLES))
         .collect();
-    let (all, profiles) =
-        vmv_sim::replay_batch_profiled(&recorded.trace, &analysis, &mut states, &statics)
-            .map_err(|e| ExperimentError::Simulation(format!("batched replay: {e}")))?;
+    let (all, profiles) = match statics {
+        Some(statics) => replay_batch_profiled(&recorded.trace, &analysis, &states, statics),
+        None => replay_batch(&recorded.trace, &analysis, &states).map(|all| (all, Vec::new())),
+    }
+    .map_err(|e| {
+        let names: Vec<&str> = variants.iter().map(|(m, _)| m.name.as_str()).collect();
+        ExperimentError::Simulation(format!("{}: replay: {e}", names.join(", ")))
+    })?;
     let outcomes = all
         .into_iter()
         .zip(variants)
@@ -352,31 +347,6 @@ pub fn simulate_batch_profiled(
         })
         .collect();
     Ok((outcomes, profiles))
-}
-
-/// Simulate by full functional execution, never recording or replaying a
-/// trace.  Results are identical to [`simulate`]; this entry point exists
-/// for callers that specifically measure the execution engine (`bench`).
-pub fn simulate_fresh(
-    prepared: &Prepared,
-    machine: &MachineConfig,
-    model: MemoryModel,
-) -> Result<RunOutcome, ExperimentError> {
-    let mut sim = simulator_for(prepared, machine, model);
-    let stats = sim
-        .run_lowered(&prepared.lowered)
-        .map_err(|e| ExperimentError::Simulation(format!("{}: {e}", machine.name)))?;
-    let check_failures = prepared
-        .build
-        .failed_checks(|addr, len| sim.mem.read_u8_slice(addr, len));
-    Ok(RunOutcome {
-        config: machine.name.clone(),
-        benchmark: prepared.benchmark,
-        variant: prepared.variant,
-        memory_model: model,
-        stats,
-        check_failures,
-    })
 }
 
 /// A simulator with the benchmark's initial memory image written in.

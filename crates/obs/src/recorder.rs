@@ -188,8 +188,6 @@ pub enum SpanKind {
     JobSimulate,
     /// Time spent appending a batch to the result store.
     StoreAppend,
-    /// Time spent retiming a recorded trace (the replay engine).
-    TraceReplay,
     /// Time spent in one batched replay walk (all variants together).
     ReplayBatch,
     /// Time a sweep job spent rendering and writing one profile document
@@ -198,12 +196,11 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    pub const ALL: [SpanKind; 7] = [
+    pub const ALL: [SpanKind; 6] = [
         SpanKind::JobQueueWait,
         SpanKind::JobCompile,
         SpanKind::JobSimulate,
         SpanKind::StoreAppend,
-        SpanKind::TraceReplay,
         SpanKind::ReplayBatch,
         SpanKind::ProfileWrite,
     ];
@@ -215,7 +212,6 @@ impl SpanKind {
             SpanKind::JobCompile => "job_compile_ns",
             SpanKind::JobSimulate => "job_simulate_ns",
             SpanKind::StoreAppend => "store_append_ns",
-            SpanKind::TraceReplay => "trace_replay_ns",
             SpanKind::ReplayBatch => "replay_batch_ns",
             SpanKind::ProfileWrite => "profile_write_ns",
         }

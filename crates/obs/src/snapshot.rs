@@ -377,13 +377,17 @@ mod tests {
     #[test]
     fn documents_without_a_hists_section_still_parse() {
         // A pre-batching snapshot (schema unchanged, section absent) must
-        // stay readable: hists parse to empty, derived width to None.
+        // stay readable: hists parse to empty, derived width to None.  Its
+        // `trace_replay_ns` span is no longer recorded but is kept by name.
         let old = "{\"schema\":\"vmv-metrics/1\",\"enabled\":true,\
-                   \"counters\":{\"sim_runs\":2},\"spans\":{}}";
+                   \"counters\":{\"sim_runs\":2},\"spans\":{\"trace_replay_ns\":\
+                   {\"count\":2,\"sum_ns\":900,\"buckets\":[0,2]}}}";
         let snap = Snapshot::parse(old).unwrap();
         assert!(snap.hists.is_empty());
         assert_eq!(snap.mean_batch_width(), None);
         assert_eq!(snap.counter("sim_runs"), Some(2));
+        let span = snap.span("trace_replay_ns").unwrap();
+        assert_eq!((span.count, span.sum), (2, 900));
     }
 
     #[test]

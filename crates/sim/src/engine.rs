@@ -157,7 +157,7 @@ impl Simulator {
 
     /// Run a lowered program to completion *and* record its timing trace
     /// (block sequence, memory accesses, VL updates) for later replay with
-    /// [`crate::replay::replay`].
+    /// [`crate::replay::replay_batch`].
     pub fn run_lowered_recording(
         &mut self,
         program: &LoweredProgram,

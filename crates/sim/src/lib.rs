@@ -28,9 +28,6 @@ pub use profile::{
     TimelineEvent, LANE_NAMES, N_CAUSES, N_STALLS, STALL_BASE, TIMELINE_CAP,
 };
 pub use regfile::{RegFiles, VectorValue};
-pub use replay::{
-    replay, replay_batch, replay_batch_profiled, replay_profiled, ReplayAnalysis, ReplayError,
-    VariantState,
-};
+pub use replay::{replay_batch, replay_batch_profiled, ReplayAnalysis, ReplayError, VariantState};
 pub use stats::{RegionStats, RunStats};
 pub use trace::Trace;

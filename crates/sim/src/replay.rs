@@ -1,16 +1,21 @@
-//! The trace-replay engine: retime a recorded execution against a fresh
-//! memory hierarchy, without functional execution.
+//! The trace-replay engine: retime a recorded execution against fresh
+//! memory variants, without functional execution.
 //!
-//! [`replay`] is the workspace's *third* engine.  It walks the recorded
-//! block sequence of a [`Trace`] over the static [`LoweredProgram`],
-//! re-deriving the scoreboard / stall / L2-port timing exactly as
-//! [`crate::Simulator::run_lowered`] does, but it feeds the hierarchy the
-//! *recorded* `MemAccess` stream instead of executing operations — no
-//! `exec_core`, no `RegFiles`, no `MemImage` allocation.  The differential
-//! suite (`tests/lowered_differential.rs`) proves the resulting
-//! [`RunStats`] bit-identical to both existing engines on every Table 2
-//! preset × kernel × memory model, including replaying a trace recorded
-//! under one model against the other.
+//! [`replay_batch`] is the workspace's *third* engine.  It walks the
+//! recorded block sequence of a [`Trace`] over the static
+//! [`LoweredProgram`], re-deriving the scoreboard / stall / L2-port timing
+//! exactly as [`crate::Simulator::run_lowered`] does, but it feeds the
+//! memory system the *recorded* `MemAccess` stream instead of executing
+//! operations — no `exec_core`, no `RegFiles`, no `MemImage` allocation.
+//! The walk advances K independent timing states in lockstep — one
+//! [`VariantState`] (memory model + machine memory parameters) per variant,
+//! scoreboard and clocks in struct-of-arrays layout — so a memory-axis
+//! sweep pays for trace decoding, segment skipping and dispatch once per
+//! *schedule*, not once per *variant*; a single run is a batch of one.  The
+//! differential suite (`tests/lowered_differential.rs`) proves every
+//! returned [`RunStats`] bit-identical to the reference and lowered engines
+//! on every Table 2 preset × kernel × memory model, including replaying a
+//! trace recorded under one model against the other.
 //!
 //! # Why replay can skip most of the scoreboard
 //!
@@ -28,7 +33,7 @@
 //! guarantees nothing, so a fixed-latency write is additionally kept
 //! when its latency exceeds its distance to the end of the block.
 //!
-//! [`ReplayProgram::build`] therefore classifies every register slot:
+//! [`ReplayAnalysis::build`] therefore classifies every register slot:
 //! a slot is **tracked** only if some dynamic operation writes it, or
 //! some fixed-latency write to it could still be in flight when its
 //! block ends.  Reads and writes of all other slots are provably
@@ -39,16 +44,7 @@
 //!
 //! Because the trace is memory-model- and memory-geometry-independent, a
 //! memory-axis sweep executes each functional simulation **once** and
-//! replays every other variant — the "record once, retime per variant"
-//! optimisation ROADMAP item 3 projects at 5–10× for geometry studies.
-//!
-//! [`replay_batch`] is the *fourth* engine: it walks the decoded trace
-//! once and advances K independent timing states in lockstep — one
-//! [`VariantState`] (hierarchy + machine memory parameters) per variant,
-//! scoreboard and clocks in struct-of-arrays layout — so a memory-axis
-//! sweep pays for trace decoding, segment skipping and dispatch once per
-//! *schedule*, not once per *variant*.  Each returned `RunStats` is
-//! bit-identical to a single-variant [`replay`] of the same variant.
+//! retimes every other variant from the recording.
 
 use std::sync::Arc;
 
@@ -59,8 +55,7 @@ use vmv_sched::LoweredProgram;
 
 use crate::engine::Simulator;
 use crate::profile::{
-    BatchProfiler, BatchSink, Binding, Cause, NoBatchProfile, NoProfile, Profile, ProfileRecorder,
-    ProfileSink, ProfileStatics,
+    BatchProfiler, BatchSink, Binding, Cause, NoBatchProfile, Profile, ProfileStatics,
 };
 use crate::stats::RunStats;
 use crate::trace::Trace;
@@ -120,14 +115,14 @@ struct RBlock {
     first_bundle: u32,
 }
 
-/// The precompiled compact timing view of a [`LoweredProgram`]: a
-/// structure-of-arrays form holding only what the timing walk consumes.
-/// A recorded trace re-executes each static block many times (loops), so
-/// the walk is the hot loop; the slot-tracking analysis (module docs)
-/// collapses everything provably stall-free into segment-level counters.
-/// Built in O(static ops) — negligible next to the walk — so [`replay`]
-/// constructs it per call rather than caching it.
-struct ReplayProgram {
+/// The precompiled slot analysis of one [`LoweredProgram`]: the compact
+/// timing view the replay walk consumes, in structure-of-arrays form.  A
+/// recorded trace re-executes each static block many times (loops), so the
+/// walk is the hot loop; the slot-tracking analysis (module docs) collapses
+/// everything provably stall-free into segment-level counters.  Built in
+/// O(static ops) and shared across every variant retimed from the same
+/// trace.
+pub struct ReplayAnalysis {
     blocks: Vec<RBlock>,
     segs: Vec<RSeg>,
     reads: Vec<u16>,
@@ -140,6 +135,7 @@ struct ReplayProgram {
     /// The Pass-1 slot classification (indexed by slot), kept so the
     /// static verifier can prove it covers every must-track slot.
     tracked: Vec<bool>,
+    regions: Vec<vmv_isa::RegionId>,
 }
 
 /// Dynamic-behaviour flag bits of one lowered operation.
@@ -160,8 +156,8 @@ fn flags_of(op: &vmv_sched::LoweredOp) -> u8 {
     flags
 }
 
-impl ReplayProgram {
-    fn build(program: &LoweredProgram) -> ReplayProgram {
+impl ReplayAnalysis {
+    pub fn build(program: &LoweredProgram) -> ReplayAnalysis {
         // Two same-cycle writes to one slot must apply in program order;
         // splitting them between the static and dynamic paths would
         // reorder them, so such bundles go fully dynamic.
@@ -288,7 +284,7 @@ impl ReplayProgram {
                 first_bundle: block.first_bundle,
             });
         }
-        ReplayProgram {
+        ReplayAnalysis {
             blocks,
             segs,
             reads,
@@ -297,7 +293,21 @@ impl ReplayProgram {
             write_ops,
             dyn_ops,
             tracked,
+            regions: program.regions.iter().map(|r| r.id).collect(),
         }
+    }
+
+    /// Size of the register-slot universe the analysis was built over.
+    pub fn total_slots(&self) -> usize {
+        self.tracked.len()
+    }
+
+    /// The slots the scoreboard keeps (indexed by slot): exactly the Pass-1
+    /// classification the timing walk stalls on.  Exposed so the static
+    /// verifier (`vmv-verify`) can prove the set is a superset of the slots
+    /// that must be tracked.
+    pub fn tracked_slots(&self) -> &[bool] {
+        &self.tracked
     }
 }
 
@@ -369,309 +379,6 @@ impl std::fmt::Display for ReplayError {
 }
 impl std::error::Error for ReplayError {}
 
-/// Replay `trace` over `program`, pricing memory against a fresh hierarchy
-/// for (`machine`, `model`).  `machine` may differ from the recording
-/// machine in memory-hierarchy parameters only (the same contract as
-/// re-simulating a `Prepared` under a new memory variant); `max_cycles`
-/// bounds the replayed clock exactly as `SimOptions::max_cycles` bounds
-/// execution.
-pub fn replay(
-    program: &LoweredProgram,
-    trace: &Trace,
-    machine: &MachineConfig,
-    model: MemoryModel,
-    max_cycles: u64,
-) -> Result<RunStats, ReplayError> {
-    replay_with(program, trace, machine, model, max_cycles, &mut NoProfile)
-}
-
-/// [`replay`] with cycle attribution.  `statics` must have been built from
-/// the same `program` (and the recording machine's schedule-relevant
-/// fields).  The returned [`RunStats`] are bit-identical to an unprofiled
-/// [`replay`]; the profile is identical to the one the lowered engine
-/// derives for the same run.
-pub fn replay_profiled(
-    program: &LoweredProgram,
-    trace: &Trace,
-    machine: &MachineConfig,
-    model: MemoryModel,
-    max_cycles: u64,
-    statics: &Arc<ProfileStatics>,
-) -> Result<(RunStats, Profile), ReplayError> {
-    let mut rec = ProfileRecorder::new(statics.clone());
-    let stats = replay_with(program, trace, machine, model, max_cycles, &mut rec)?;
-    let profile = rec.finish();
-    profile.record_obs();
-    Ok((stats, profile))
-}
-
-fn replay_with<P: ProfileSink>(
-    program: &LoweredProgram,
-    trace: &Trace,
-    machine: &MachineConfig,
-    model: MemoryModel,
-    max_cycles: u64,
-    prof: &mut P,
-) -> Result<RunStats, ReplayError> {
-    let _span = vmv_obs::span(vmv_obs::SpanKind::TraceReplay);
-    let compact = ReplayProgram::build(program);
-    let mut echo_scratch = SharedAccessScratch::new();
-    let mut hierarchy = MemoryHierarchy::for_machine(model, machine);
-    let mut stats = RunStats::default();
-    for region in &program.regions {
-        stats.region_mut(region.id);
-    }
-    let mut region_acc: Vec<(vmv_isa::RegionId, crate::stats::RegionStats)> = Vec::new();
-    let mut region_idx = 0usize;
-
-    let mut ready: Vec<u64> = vec![0; program.total_slots()];
-    let mut l2_port_free: u64 = 0;
-    let mut cycle: u64 = 0;
-    let port_elems = machine.l2_port_elems.max(1);
-
-    // The VL register, reconstructed from the recorded `setvl` stream.
-    let mut vl: u32 = trace.initial_vl;
-    let mut evl: u64 = vl.clamp(1, MAX_VL) as u64;
-    let (mut ai, mut vi) = (0usize, 0usize);
-    let mut halted = false;
-
-    for (step, &block_id) in trace.blocks.iter().enumerate() {
-        if halted {
-            return Err(ReplayError::BlocksAfterHalt { step: step - 1 });
-        }
-        let block = *compact
-            .blocks
-            .get(block_id as usize)
-            .ok_or(ReplayError::BlockOutOfRange {
-                step,
-                block: block_id,
-            })?;
-        let region = block.region;
-        let block_start_cycle = cycle;
-        let mut ops_executed = 0u64;
-        let mut micro_ops = 0u64;
-        let mut stall_cycles = 0u64;
-        prof.begin_block(block_id);
-        let mut bundle_cursor = block.first_bundle;
-
-        for seg in
-            &compact.segs[block.first_seg as usize..(block.first_seg + block.seg_count) as usize]
-        {
-            // The inert run in front of the final bundle advances the
-            // clock one cycle per bundle, stall-free, by construction.
-            let base = cycle + (seg.span - 1) as u64;
-            let mut issue = base;
-            for &slot in &compact.reads[seg.reads.0 as usize..seg.reads.1 as usize] {
-                issue = issue.max(ready[slot as usize]);
-            }
-            if seg.vecmem {
-                issue = issue.max(l2_port_free);
-            }
-            stall_cycles += issue - base;
-
-            if P::ENABLED {
-                // Reconstruct the per-bundle issue events the engine
-                // reports: the inert run issues stall-free at consecutive
-                // cycles, the final bundle carries the segment's stall.
-                // Binding: first tracked read slot busy at the issue cycle
-                // (untracked slots are provably never the binder), else
-                // the L2 port.
-                for i in 0..seg.span - 1 {
-                    prof.bundle(bundle_cursor + i, cycle + i as u64, 0, Binding::None);
-                }
-                let stall = issue - base;
-                let binding = if stall == 0 {
-                    Binding::None
-                } else {
-                    let mut found = Binding::Port;
-                    for &slot in &compact.reads[seg.reads.0 as usize..seg.reads.1 as usize] {
-                        if ready[slot as usize] == issue {
-                            found = Binding::Slot(slot);
-                            break;
-                        }
-                    }
-                    found
-                };
-                prof.bundle(bundle_cursor + seg.span - 1, base, stall, binding);
-                bundle_cursor += seg.span;
-            }
-
-            for (wi, &(slot, lat)) in compact.writes[seg.writes.0 as usize..seg.writes.1 as usize]
-                .iter()
-                .enumerate()
-            {
-                ready[slot as usize] = issue + lat as u64;
-                if P::ENABLED {
-                    prof.write(
-                        compact.write_ops[seg.writes.0 as usize + wi],
-                        slot,
-                        Cause::RawStall,
-                    );
-                }
-            }
-            micro_ops += seg.static_micro_ops;
-            ops_executed += seg.op_count as u64;
-
-            for (di, op) in compact.dynamics[seg.dynamics.0 as usize..seg.dynamics.1 as usize]
-                .iter()
-                .enumerate()
-            {
-                let op_idx = if P::ENABLED {
-                    compact.dyn_ops[seg.dynamics.0 as usize + di]
-                } else {
-                    0
-                };
-                let mut cause = Cause::RawStall;
-                let latency = if op.flags & F_MEM != 0 {
-                    let access = trace
-                        .accesses
-                        .get(ai)
-                        .ok_or(ReplayError::TruncatedAccesses { consumed: ai })?;
-                    ai += 1;
-                    if access.is_vector {
-                        let occupancy = if access.stride == 8 {
-                            access.elems.div_ceil(port_elems)
-                        } else {
-                            access.elems
-                        };
-                        l2_port_free = issue + occupancy.max(1) as u64;
-                        if P::ENABLED {
-                            prof.vec_port(op_idx);
-                        }
-                    }
-                    if P::ENABLED {
-                        let (lat, echo) = Simulator::memory_latency_echo(
-                            &mut hierarchy,
-                            access,
-                            &mut echo_scratch,
-                        );
-                        cause = Cause::wait_for_echo(&echo);
-                        lat as u64
-                    } else {
-                        Simulator::memory_latency_on(&mut hierarchy, access) as u64
-                    }
-                } else {
-                    if op.flags & F_SETVL != 0 {
-                        vl = *trace
-                            .vl_sets
-                            .get(vi)
-                            .ok_or(ReplayError::TruncatedVlSets { consumed: vi })?;
-                        vi += 1;
-                        evl = vl.clamp(1, MAX_VL) as u64;
-                    }
-                    if op.flags & F_READS_VL != 0 {
-                        let lanes = op.lanes as u64;
-                        let tail = if lanes.is_power_of_two() {
-                            (evl - 1) >> lanes.trailing_zeros()
-                        } else {
-                            (evl - 1) / lanes
-                        };
-                        op.flow as u64 + tail
-                    } else {
-                        op.flow as u64
-                    }
-                };
-                let _ = cause;
-
-                if op.dst_slot != NO_SLOT {
-                    ready[op.dst_slot as usize] = issue + latency;
-                    if P::ENABLED {
-                        prof.write(op_idx, op.dst_slot, cause);
-                    }
-                }
-
-                micro_ops += if op.flags & F_READS_VL != 0 {
-                    op.micro_ops_unit as u64 * evl
-                } else {
-                    op.micro_ops_unit as u64
-                };
-
-                halted |= op.flags & F_HALT != 0;
-            }
-
-            cycle = issue + 1;
-            // The engine checks the limit after every bundle; the clock
-            // is monotone within a segment, so checking at segment ends
-            // reaches the same error decision.
-            if cycle - block_start_cycle > max_cycles || cycle > max_cycles {
-                return Err(ReplayError::CycleLimit(max_cycles));
-            }
-        }
-
-        // Even an empty block consumes a fetch cycle.
-        if block.bundle_count == 0 {
-            cycle += 1;
-        }
-
-        if region_idx >= region_acc.len() || region_acc[region_idx].0 != region {
-            region_idx = match region_acc.iter().position(|(id, _)| *id == region) {
-                Some(i) => i,
-                None => {
-                    region_acc.push((region, crate::stats::RegionStats::default()));
-                    region_acc.len() - 1
-                }
-            };
-        }
-        let r = &mut region_acc[region_idx].1;
-        r.cycles += cycle - block_start_cycle;
-        r.stall_cycles += stall_cycles;
-        r.instructions += (block.bundle_count as u64).max(1);
-        r.operations += ops_executed;
-        r.micro_ops += micro_ops;
-    }
-
-    if !halted {
-        return Err(ReplayError::MissingHalt);
-    }
-    if ai != trace.accesses.len() || vi != trace.vl_sets.len() {
-        return Err(ReplayError::TrailingEvents {
-            accesses: trace.accesses.len() - ai,
-            vl_sets: trace.vl_sets.len() - vi,
-        });
-    }
-
-    for (id, acc) in &region_acc {
-        stats.region_mut(*id).add(acc);
-    }
-    stats.memory = hierarchy.stats;
-    stats.memory.record_obs();
-    vmv_obs::incr(vmv_obs::Counter::TraceReplays);
-    Ok(stats)
-}
-
-/// The precompiled slot analysis for batched replay: the compact timing
-/// view of one [`LoweredProgram`], built once and shared across every
-/// variant retimed from the same trace.  Single-variant [`replay`] builds
-/// the same view per call; this type only makes the sharing explicit.
-pub struct ReplayAnalysis {
-    compact: ReplayProgram,
-    total_slots: usize,
-    regions: Vec<vmv_isa::RegionId>,
-}
-
-impl ReplayAnalysis {
-    pub fn build(program: &LoweredProgram) -> ReplayAnalysis {
-        ReplayAnalysis {
-            compact: ReplayProgram::build(program),
-            total_slots: program.total_slots(),
-            regions: program.regions.iter().map(|r| r.id).collect(),
-        }
-    }
-
-    /// Size of the register-slot universe the analysis was built over.
-    pub fn total_slots(&self) -> usize {
-        self.total_slots
-    }
-
-    /// The slots the scoreboard keeps (indexed by slot): exactly the Pass-1
-    /// classification the timing walk stalls on.  Exposed so the static
-    /// verifier (`vmv-verify`) can prove the set is a superset of the slots
-    /// that must be tracked.
-    pub fn tracked_slots(&self) -> &[bool] {
-        &self.compact.tracked
-    }
-}
-
 /// The per-variant timing parameters of a batched replay: the memory model
 /// and machine fields the walk prices against.  Construction is free — the
 /// walk itself decides per variant whether it needs a full tag-simulating
@@ -690,8 +397,10 @@ pub struct VariantState {
 
 impl VariantState {
     /// Prepare one variant for [`replay_batch`].  `machine` may differ from
-    /// the recording machine in memory-hierarchy parameters only — the
-    /// same contract as single-variant [`replay`].
+    /// the recording machine in memory-hierarchy parameters only (the same
+    /// contract as re-simulating a `Prepared` under a new memory variant);
+    /// `max_cycles` bounds the replayed clock exactly as
+    /// `SimOptions::max_cycles` bounds execution.
     pub fn new(
         analysis: &ReplayAnalysis,
         machine: &MachineConfig,
@@ -703,7 +412,7 @@ impl VariantState {
             memory: machine.memory,
             port_elems: machine.l2_port_elems.max(1),
             max_cycles,
-            slots: analysis.total_slots,
+            slots: analysis.total_slots(),
         }
     }
 }
@@ -734,29 +443,31 @@ impl Pricer {
 /// the timing state (scoreboard, clock, L2-port cursor, hierarchy) is
 /// per-variant, held in struct-of-arrays layout so the inner loops are
 /// tight passes over K contiguous values.  `out[k]` is bit-identical to
-/// `replay(program, trace, machine_k, model_k, max_cycles_k)`; the
-/// differential and property suites in `tests/trace_replay.rs` enforce
-/// exactly that.
+/// executing the program on variant `k` with the lowered engine; the
+/// differential and property suites (`tests/lowered_differential.rs`,
+/// `tests/trace_replay.rs`) enforce exactly that.
 ///
 /// Errors that depend on the variant (`CycleLimit`) fail the whole batch;
-/// callers wanting per-variant error isolation fall back to serial
-/// [`replay`].  An empty `variants` slice returns an empty vector.
+/// callers wanting per-variant error isolation retry each variant as a
+/// batch of one.  An empty `variants` slice returns an empty vector.
 pub fn replay_batch(
     trace: &Trace,
     analysis: &ReplayAnalysis,
-    variants: &mut [VariantState],
+    variants: &[VariantState],
 ) -> Result<Vec<RunStats>, ReplayError> {
     replay_batch_with(trace, analysis, variants, &mut NoBatchProfile)
 }
 
 /// [`replay_batch`] with cycle attribution: one extra pass piggybacked on
-/// the fused walk, not K profiled replays.  `profiles[k]` is bit-identical
-/// to the profile `replay_profiled` would produce for variant `k`, and
-/// `out[k]` is unchanged from the unprofiled batch.
+/// the fused walk, not K profiled replays.  `statics` must have been built
+/// from the analysed program (and the recording machine's schedule-relevant
+/// fields).  `profiles[k]` is bit-identical to the profile the lowered
+/// engine derives for variant `k`, and `out[k]` is unchanged from the
+/// unprofiled batch.
 pub fn replay_batch_profiled(
     trace: &Trace,
     analysis: &ReplayAnalysis,
-    variants: &mut [VariantState],
+    variants: &[VariantState],
     statics: &Arc<ProfileStatics>,
 ) -> Result<(Vec<RunStats>, Vec<Profile>), ReplayError> {
     let mut bp = BatchProfiler::new(statics, variants.len());
@@ -771,29 +482,44 @@ pub fn replay_batch_profiled(
 fn replay_batch_with<BP: BatchSink>(
     trace: &Trace,
     analysis: &ReplayAnalysis,
-    variants: &mut [VariantState],
+    variants: &[VariantState],
     bp: &mut BP,
 ) -> Result<Vec<RunStats>, ReplayError> {
-    let k = variants.len();
-    if k == 0 {
-        return Ok(Vec::new());
+    // A batch of one — every `vmv_core::simulate` retime — runs its own
+    // copy of the walk with the width fixed at compile time.  Sharing one
+    // copy with wide batches made single-variant retimes 30–50% slower
+    // when the two interleave, as they do in a sweep (measured on a 2-core
+    // x86-64 VM).
+    match variants.len() {
+        0 => Ok(Vec::new()),
+        1 => walk::<BP, true>(trace, analysis, variants, bp),
+        _ => walk::<BP, false>(trace, analysis, variants, bp),
     }
+}
+
+/// The replay walk over `K = variants.len()` variants (`ONE`: `K == 1`).
+fn walk<BP: BatchSink, const ONE: bool>(
+    trace: &Trace,
+    analysis: &ReplayAnalysis,
+    variants: &[VariantState],
+    bp: &mut BP,
+) -> Result<Vec<RunStats>, ReplayError> {
+    let k = if ONE { 1 } else { variants.len() };
     for (i, v) in variants.iter().enumerate() {
-        if v.slots != analysis.total_slots {
+        if v.slots != analysis.total_slots() {
             return Err(ReplayError::VariantSlotMismatch {
                 variant: i,
-                expected: analysis.total_slots,
+                expected: analysis.total_slots(),
                 got: v.slots,
             });
         }
     }
     let _span = vmv_obs::span(vmv_obs::SpanKind::ReplayBatch);
-    let compact = &analysis.compact;
 
     // Struct-of-arrays timing state.  The scoreboard is slot-major
     // (`ready[slot * k + variant]`) so the per-read-slot inner loop walks
     // K contiguous words.
-    let mut ready: Vec<u64> = vec![0; analysis.total_slots * k];
+    let mut ready: Vec<u64> = vec![0; analysis.total_slots() * k];
     let mut clock: Vec<u64> = vec![0; k];
     let mut l2_port_free: Vec<u64> = vec![0; k];
     let mut issue: Vec<u64> = vec![0; k];
@@ -847,8 +573,8 @@ fn replay_batch_with<BP: BatchSink>(
     let mut region_acc: Vec<RegionAcc> = Vec::new();
     let mut region_idx = 0usize;
 
-    // Shared functional state, reconstructed from the trace exactly as in
-    // single-variant replay.
+    // Shared functional state: the VL register, reconstructed from the
+    // recorded `setvl` stream, and the trace cursors.
     let mut vl: u32 = trace.initial_vl;
     let mut evl: u64 = vl.clamp(1, MAX_VL) as u64;
     let (mut ai, mut vi) = (0usize, 0usize);
@@ -858,13 +584,14 @@ fn replay_batch_with<BP: BatchSink>(
         if halted {
             return Err(ReplayError::BlocksAfterHalt { step: step - 1 });
         }
-        let block = *compact
-            .blocks
-            .get(block_id as usize)
-            .ok_or(ReplayError::BlockOutOfRange {
-                step,
-                block: block_id,
-            })?;
+        let block =
+            *analysis
+                .blocks
+                .get(block_id as usize)
+                .ok_or(ReplayError::BlockOutOfRange {
+                    step,
+                    block: block_id,
+                })?;
         let region = block.region;
         block_start.copy_from_slice(&clock);
         block_stalls.iter_mut().for_each(|s| *s = 0);
@@ -874,13 +601,13 @@ fn replay_batch_with<BP: BatchSink>(
         let mut bundle_cursor = block.first_bundle;
 
         for seg in
-            &compact.segs[block.first_seg as usize..(block.first_seg + block.seg_count) as usize]
+            &analysis.segs[block.first_seg as usize..(block.first_seg + block.seg_count) as usize]
         {
             let span = (seg.span - 1) as u64;
             for kk in 0..k {
                 issue[kk] = clock[kk] + span;
             }
-            for &slot in &compact.reads[seg.reads.0 as usize..seg.reads.1 as usize] {
+            for &slot in &analysis.reads[seg.reads.0 as usize..seg.reads.1 as usize] {
                 let row = &ready[slot as usize * k..slot as usize * k + k];
                 for kk in 0..k {
                     issue[kk] = issue[kk].max(row[kk]);
@@ -896,10 +623,12 @@ fn replay_batch_with<BP: BatchSink>(
             }
 
             if BP::ENABLED {
-                // Same bundle-event reconstruction as serial replay, once
-                // per variant: inert bundles issue stall-free at
-                // consecutive cycles, the final bundle carries the
-                // segment's stall, bound by a strided scoreboard scan.
+                // Reconstruct the per-bundle issue events the engine
+                // reports, once per variant: inert bundles issue
+                // stall-free at consecutive cycles, the final bundle
+                // carries the segment's stall.  Binding: first tracked
+                // read slot busy at the issue cycle (untracked slots are
+                // provably never the binder), else the L2 port.
                 for kk in 0..k {
                     for i in 0..seg.span - 1 {
                         bp.bundle(
@@ -916,7 +645,7 @@ fn replay_batch_with<BP: BatchSink>(
                         Binding::None
                     } else {
                         let mut found = Binding::Port;
-                        for &slot in &compact.reads[seg.reads.0 as usize..seg.reads.1 as usize] {
+                        for &slot in &analysis.reads[seg.reads.0 as usize..seg.reads.1 as usize] {
                             if ready[slot as usize * k + kk] == issue[kk] {
                                 found = Binding::Slot(slot);
                                 break;
@@ -929,7 +658,7 @@ fn replay_batch_with<BP: BatchSink>(
                 bundle_cursor += seg.span;
             }
 
-            for (wi, &(slot, lat)) in compact.writes[seg.writes.0 as usize..seg.writes.1 as usize]
+            for (wi, &(slot, lat)) in analysis.writes[seg.writes.0 as usize..seg.writes.1 as usize]
                 .iter()
                 .enumerate()
             {
@@ -939,7 +668,7 @@ fn replay_batch_with<BP: BatchSink>(
                 }
                 if BP::ENABLED {
                     bp.write_all(
-                        compact.write_ops[seg.writes.0 as usize + wi],
+                        analysis.write_ops[seg.writes.0 as usize + wi],
                         slot,
                         Cause::RawStall,
                     );
@@ -948,12 +677,12 @@ fn replay_batch_with<BP: BatchSink>(
             micro_ops += seg.static_micro_ops;
             ops_executed += seg.op_count as u64;
 
-            for (di, op) in compact.dynamics[seg.dynamics.0 as usize..seg.dynamics.1 as usize]
+            for (di, op) in analysis.dynamics[seg.dynamics.0 as usize..seg.dynamics.1 as usize]
                 .iter()
                 .enumerate()
             {
                 let op_idx = if BP::ENABLED {
-                    compact.dyn_ops[seg.dynamics.0 as usize + di]
+                    analysis.dyn_ops[seg.dynamics.0 as usize + di]
                 } else {
                     0
                 };
@@ -984,6 +713,12 @@ fn replay_batch_with<BP: BatchSink>(
                         let Pricer::Leader(hierarchy) = &mut pricers[*leader] else {
                             unreachable!("class leaders carry a full hierarchy")
                         };
+                        if ONE && !BP::ENABLED {
+                            // A lone unprofiled variant has no one to echo
+                            // to: price the access directly.
+                            lat[0] = Simulator::memory_latency_on(hierarchy, access) as u64;
+                            continue;
+                        }
                         let (leader_lat, echo) =
                             Simulator::memory_latency_echo(hierarchy, access, &mut line_memo);
                         lat[*leader] = leader_lat as u64;
@@ -1054,6 +789,9 @@ fn replay_batch_with<BP: BatchSink>(
                 halted |= op.flags & F_HALT != 0;
             }
 
+            // The engine checks the limit after every bundle; the clock
+            // is monotone within a segment, so checking at segment ends
+            // reaches the same error decision.
             for (kk, v) in variants.iter().enumerate() {
                 clock[kk] = issue[kk] + 1;
                 if clock[kk] - block_start[kk] > v.max_cycles || clock[kk] > v.max_cycles {
@@ -1062,6 +800,7 @@ fn replay_batch_with<BP: BatchSink>(
             }
         }
 
+        // Even an empty block consumes a fetch cycle.
         if block.bundle_count == 0 {
             for c in clock.iter_mut() {
                 *c += 1;

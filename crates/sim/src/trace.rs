@@ -11,8 +11,8 @@
 //! [`vmv_sched::LoweredProgram`].
 //!
 //! A [`Trace`] captures exactly those three streams, so
-//! [`crate::replay::replay`] can re-run the *timing* of an execution
-//! against a fresh [`vmv_mem::MemoryHierarchy`] without touching
+//! [`crate::replay::replay_batch`] can re-run the *timing* of an execution
+//! against fresh memory variants without touching
 //! `exec_core`, `RegFiles` or `MemImage`.  Crucially, none of the three
 //! streams depends on memory-hierarchy parameters or the memory model
 //! (functional values never change with timing), so one trace per

@@ -10,8 +10,8 @@
 //! executes and records (exactly the adaptive behaviour of
 //! [`vmv_core::simulate`]), and every remaining memory variant is retimed
 //! by one batched trace walk ([`vmv_core::simulate_batch`]).  A batch that
-//! fails or panics falls back to serial per-job simulation, preserving
-//! per-job error isolation.
+//! fails or panics falls back to one [`vmv_core::simulate`] call per job —
+//! a batch of one each — preserving per-job error isolation.
 //!
 //! Results are collected into pre-assigned slots, so the report order is
 //! deterministic (point-major, benchmark-minor) regardless of the worker
@@ -265,10 +265,10 @@ pub fn run_sweep(
     // rate by K, keeping the ETA smooth.
     let done_runs = AtomicUsize::new(0);
 
-    // Serial per-job body (the pre-batching behaviour): adaptive
-    // record-or-replay with per-job panic isolation.  Used for the
-    // recording run of each group and as the fallback when a batch fails.
-    let run_serial = |i: usize, prepared: &Prepared| -> Result<RunRecord, String> {
+    // Per-job body: adaptive record-or-retime (a batch of one) with per-job
+    // panic isolation.  Used for the recording run of each group and as
+    // the fallback when a batch fails.
+    let run_job = |i: usize, prepared: &Prepared| -> Result<RunRecord, String> {
         let job = &jobs[i];
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let simulate_span = vmv_obs::span(SpanKind::JobSimulate);
@@ -345,7 +345,7 @@ pub fn run_sweep(
                     // First run of the key: execute and record the trace.
                     let i = rest[0];
                     rest = &rest[1..];
-                    results.push((i, run_serial(i, &prepared)));
+                    results.push((i, run_job(i, &prepared)));
                 }
                 if !rest.is_empty() && prepared.has_trace() {
                     // Everything else retimes the shared trace in one
@@ -397,11 +397,11 @@ pub fn run_sweep(
                         rest = &[];
                     }
                     // A failed or panicked batch leaves `rest` untouched:
-                    // the serial fallback below re-runs each job on its
-                    // own, preserving per-job error isolation.
+                    // the fallback below retimes each job as a batch of
+                    // one, preserving per-job error isolation.
                 }
                 for &i in rest {
-                    results.push((i, run_serial(i, &prepared)));
+                    results.push((i, run_job(i, &prepared)));
                 }
             }
             (None, Some(e)) => {
@@ -719,6 +719,41 @@ mod tests {
             "{:?}",
             report.errors
         );
+    }
+
+    #[test]
+    fn failed_batch_falls_back_to_one_batch_per_job() {
+        // One schedule key, three L1 sizes: 16 KB executes and records,
+        // then 48 KB (384 sets, which the cache model rejects) panics the
+        // batch it shares with 32 KB.  The per-job fallback must still
+        // retime 32 KB, and exactly as a sweep without the bad point does.
+        let run = |sizes: &[usize]| {
+            let points = SweepSpec::new().axis(Axis::l1_size(sizes)).expand().points;
+            let opts = ExecOptions {
+                benchmarks: vec![Benchmark::GsmDec],
+                workers: 1,
+                progress: false,
+                verify: false,
+                profile_dir: None,
+            };
+            run_sweep(&points, &opts, None).unwrap()
+        };
+        let report = run(&[16 * 1024, 48 * 1024, 32 * 1024]);
+        assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+        assert!(
+            report.errors[0].1.contains("panicked"),
+            "{:?}",
+            report.errors
+        );
+        assert_eq!(report.records.len(), 2, "16 KB and 32 KB still complete");
+        assert_eq!(report.replay_batches, 0, "the shared batch failed");
+        assert_eq!(report.replays, 1, "32 KB was retimed on its own");
+
+        let clean = run(&[16 * 1024, 32 * 1024]);
+        assert!(clean.errors.is_empty(), "{:?}", clean.errors);
+        assert_eq!(clean.replay_batches, 1);
+        assert_eq!(report.records, clean.records);
+        assert_eq!(report.records[1].cycles, clean.records[1].cycles);
     }
 
     #[test]

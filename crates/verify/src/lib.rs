@@ -1,14 +1,14 @@
 //! Static verification of compiled programs: an independent checker that
 //! *proves*, per schedule, the invariants the simulators merely assume.
 //!
-//! The four timing engines (reference, lowered, serial replay, batched
-//! replay) all lean on guarantees established at compile time: the list
-//! scheduler placed every consumer at least its producer's `raw_latency`
-//! away, never oversubscribed a functional unit, and kept the block
-//! terminator last; the lowering pass resolved every register to an
-//! in-range scoreboard slot and every label to a real block; and the
-//! replay slot analysis (`vmv_sim::replay`) drops from the scoreboard
-//! exactly the slots those guarantees make provably stall-free.  The
+//! The three timing engines (reference, lowered, batched replay) all lean
+//! on guarantees established at compile time: the list scheduler placed
+//! every consumer at least its producer's `raw_latency` away, never
+//! oversubscribed a functional unit, and kept the block terminator last;
+//! the lowering pass resolved every register to an in-range scoreboard
+//! slot and every label to a real block; and the replay slot analysis
+//! (`vmv_sim::ReplayAnalysis`) drops from the scoreboard exactly the slots
+//! those guarantees make provably stall-free.  The
 //! differential suite samples 120 dynamic cases of this contract — this
 //! crate discharges it *statically*, for every bundle of every block:
 //!

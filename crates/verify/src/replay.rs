@@ -1,9 +1,9 @@
 //! Replay slot-analysis subset proof.
 //!
-//! `vmv_sim::replay` collapses provably stall-free register slots off its
-//! scoreboard.  Its classification is derived inside the engine from the
-//! same lowered program it then retimes — so a bug there would make the
-//! replay engines silently fast, not visibly wrong.  This module
+//! `vmv_sim::replay_batch` collapses provably stall-free register slots off
+//! its scoreboard.  Its classification (`vmv_sim::ReplayAnalysis`) is
+//! derived from the same lowered program the engine then retimes — so a
+//! bug there would make replay silently fast, not visibly wrong.  This module
 //! re-derives, from first principles, the set of slots that *must* stay
 //! tracked, and proves it is a subset of what the engine actually keeps.
 //!

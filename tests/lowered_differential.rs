@@ -4,27 +4,46 @@
 //! reference engine (`Simulator::run_reference` — hash-map scoreboard,
 //! label-map branch resolution, per-operation metadata re-derivation), the
 //! lowered hot path (`Simulator::run_lowered` — slot-indexed scoreboard
-//! over the pre-resolved `LoweredProgram`), and the trace-replay retimer
-//! (`vmv_sim::replay` — no functional execution at all, just the recorded
-//! block/access/VL streams walked against a fresh memory hierarchy).  The
-//! batched retimer (`vmv_sim::replay_batch`) is a fourth leg: one fused
-//! walk advancing every memory variant in lockstep.  Any timing-semantics
-//! change is only sound if all four agree *exactly*: same cycles, same
-//! stalls, same per-region breakdown, same memory-system counters, on
-//! every workload and machine.
+//! over the pre-resolved `LoweredProgram`), and the batched trace-replay
+//! retimer (`vmv_sim::replay_batch` — no functional execution at all, just
+//! the recorded block/access/VL streams walked once while every memory
+//! variant advances in lockstep).  Any timing-semantics change is only
+//! sound if all three agree *exactly*: same cycles, same stalls, same
+//! per-region breakdown, same memory-system counters, on every workload and
+//! machine.
 //!
 //! This harness proves that on all ten Table 2 presets across the complete
-//! kernel suite, under both memory models.  The replay leg is deliberately
-//! cross-model: the trace is recorded **once under perfect memory** and
-//! replayed under both models, which is exactly how the sweep executor
-//! reuses one trace across a memory axis.
+//! kernel suite, under both memory models.  Replay is checked at two batch
+//! widths: a batch of one per model (what `vmv_core::simulate` runs) and a
+//! batch of two retiming both models in one walk (what the sweep executor
+//! runs).  The replay legs are deliberately cross-model: the trace is
+//! recorded **once under perfect memory** and replayed under both models,
+//! which is exactly how the sweep executor reuses one trace across a memory
+//! axis.
 
 use vector_usimd_vliw as vmv;
 use vmv::core::{prepare, variant_for};
 use vmv::kernels::Benchmark;
 use vmv::machine::all_configs;
 use vmv::mem::MemoryModel;
-use vmv::sim::{SimOptions, Simulator};
+use vmv::sim::{ReplayAnalysis, SimOptions, Simulator, VariantState};
+
+const MAX_CYCLES: u64 = 2_000_000_000;
+
+/// Both memory models, in the order a batch of two holds them.
+const MODELS: [MemoryModel; 2] = [MemoryModel::Perfect, MemoryModel::Realistic];
+
+/// One replay variant of `machine` per entry of `models`.
+fn variants_for(
+    analysis: &ReplayAnalysis,
+    machine: &vmv::machine::MachineConfig,
+    models: &[MemoryModel],
+) -> Vec<VariantState> {
+    models
+        .iter()
+        .map(|&model| VariantState::new(analysis, machine, model, MAX_CYCLES))
+        .collect()
+}
 
 /// Run one prepared benchmark through the given engine.
 fn run_with(
@@ -38,7 +57,7 @@ fn run_with(
         SimOptions {
             memory_model: model,
             mem_size: prepared.build.mem_size.max(1 << 20),
-            max_cycles: 2_000_000_000,
+            max_cycles: MAX_CYCLES,
         },
     );
     for (addr, bytes) in &prepared.build.init {
@@ -61,8 +80,8 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
         for bench in Benchmark::ALL {
             let prepared = prepare(bench, machine)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), machine.name));
-            // Record the trace once, under perfect memory; the replay leg
-            // below retimes it under *both* models (the cross-model reuse
+            // Record the trace once, under perfect memory; the replay legs
+            // below retime it under *both* models (the cross-model reuse
             // the sweep's trace cache depends on).
             let (recorded_stats, trace) = {
                 let mut sim = Simulator::new(
@@ -70,7 +89,7 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
                     SimOptions {
                         memory_model: MemoryModel::Perfect,
                         mem_size: prepared.build.mem_size.max(1 << 20),
-                        max_cycles: 2_000_000_000,
+                        max_cycles: MAX_CYCLES,
                     },
                 );
                 for (addr, bytes) in &prepared.build.init {
@@ -79,77 +98,42 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
                 sim.run_lowered_recording(&prepared.lowered)
                     .expect("recording run")
             };
-            // Fourth leg: one batched walk retimes the trace under both
-            // models at once; per-variant results are compared against the
-            // reference engine inside the model loop below.
-            let analysis = vmv::sim::ReplayAnalysis::build(&prepared.lowered);
-            let mut variants = vec![
-                vmv::sim::VariantState::new(
-                    &analysis,
-                    machine,
-                    MemoryModel::Perfect,
-                    2_000_000_000,
-                ),
-                vmv::sim::VariantState::new(
-                    &analysis,
-                    machine,
-                    MemoryModel::Realistic,
-                    2_000_000_000,
-                ),
-            ];
-            let batched =
-                vmv::sim::replay_batch(&trace, &analysis, &mut variants).unwrap_or_else(|e| {
-                    panic!("replay_batch: {} on {}: {e}", bench.name(), machine.name)
-                });
-            for (bi, model) in [MemoryModel::Perfect, MemoryModel::Realistic]
-                .into_iter()
-                .enumerate()
-            {
+            // A batch of two retimes the trace under both models in one
+            // walk; per-variant results are compared inside the loop below.
+            let analysis = ReplayAnalysis::build(&prepared.lowered);
+            let pair = vmv::sim::replay_batch(
+                &trace,
+                &analysis,
+                &variants_for(&analysis, machine, &MODELS),
+            )
+            .unwrap_or_else(|e| panic!("batch of two: {} on {}: {e}", bench.name(), machine.name));
+            for (bi, model) in MODELS.into_iter().enumerate() {
+                let ctx = || {
+                    format!(
+                        "{} ({}) on {} under {:?}",
+                        bench.name(),
+                        variant_for(machine).name(),
+                        machine.name,
+                        model
+                    )
+                };
                 let reference = run_with(&prepared, machine, model, false);
                 let lowered = run_with(&prepared, machine, model, true);
-                assert_eq!(
-                    reference,
-                    lowered,
-                    "RunStats diverged: {} ({}) on {} under {:?}",
-                    bench.name(),
-                    variant_for(machine).name(),
-                    machine.name,
-                    model
-                );
-                let replayed =
-                    vmv::sim::replay(&prepared.lowered, &trace, machine, model, 2_000_000_000)
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "replay: {} on {} under {model:?}: {e}",
-                                bench.name(),
-                                machine.name
-                            )
-                        });
-                assert_eq!(
-                    reference,
-                    replayed,
-                    "replay diverged: {} ({}) on {} under {:?}",
-                    bench.name(),
-                    variant_for(machine).name(),
-                    machine.name,
-                    model
-                );
-                assert_eq!(
-                    reference,
-                    batched[bi],
-                    "batched replay diverged: {} ({}) on {} under {:?}",
-                    bench.name(),
-                    variant_for(machine).name(),
-                    machine.name,
-                    model
-                );
+                assert_eq!(reference, lowered, "RunStats diverged: {}", ctx());
+                let single = vmv::sim::replay_batch(
+                    &trace,
+                    &analysis,
+                    &variants_for(&analysis, machine, &[model]),
+                )
+                .unwrap_or_else(|e| panic!("batch of one: {}: {e}", ctx()));
+                assert_eq!(reference, single[0], "batch of one diverged: {}", ctx());
+                assert_eq!(reference, pair[bi], "batch of two diverged: {}", ctx());
                 if model == MemoryModel::Perfect {
                     assert_eq!(
                         recorded_stats,
                         reference,
-                        "recording must not perturb timing: {} on {}",
-                        bench.name(),
-                        machine.name
+                        "recording must not perturb timing: {}",
+                        ctx()
                     );
                 }
                 compared += 1;
@@ -157,16 +141,16 @@ fn lowered_engine_matches_reference_on_all_table2_presets() {
         }
     }
     // 10 configurations x 6 benchmarks x 2 memory models, each compared
-    // across all four engines.
+    // across all three engines (replay at batch widths one and two).
     assert_eq!(compared, 120);
 }
 
 /// The cycle-attribution contract, on the same 120-case matrix: for every
-/// preset x kernel x memory model and for all three profiled engines
-/// (lowered, serial replay, batched replay), the per-cause attributed
+/// preset x kernel x memory model and for both profiled engines (lowered,
+/// and batched replay at widths one and two), the per-cause attributed
 /// cycles sum *exactly* to the `RunStats` totals (in total and per region,
 /// via `Profile::check_against`), enabling profiling never changes
-/// `RunStats`, and all three engines derive the *same* profile.
+/// `RunStats`, and every leg derives the *same* profile.
 #[test]
 fn profiler_attribution_contract_on_all_presets() {
     let configs = all_configs();
@@ -183,7 +167,7 @@ fn profiler_attribution_contract_on_all_presets() {
                     SimOptions {
                         memory_model: MemoryModel::Perfect,
                         mem_size: prepared.build.mem_size.max(1 << 20),
-                        max_cycles: 2_000_000_000,
+                        max_cycles: MAX_CYCLES,
                     },
                 );
                 for (addr, bytes) in &prepared.build.init {
@@ -195,30 +179,21 @@ fn profiler_attribution_contract_on_all_presets() {
             rec_profile
                 .check_against(&rec_stats)
                 .unwrap_or_else(|e| panic!("recording: {} on {}: {e}", bench.name(), machine.name));
-            let analysis = vmv::sim::ReplayAnalysis::build(&prepared.lowered);
-            let mut variants = vec![
-                vmv::sim::VariantState::new(
-                    &analysis,
-                    machine,
-                    MemoryModel::Perfect,
-                    2_000_000_000,
-                ),
-                vmv::sim::VariantState::new(
-                    &analysis,
-                    machine,
-                    MemoryModel::Realistic,
-                    2_000_000_000,
-                ),
-            ];
-            let (batch_stats, batch_profiles) =
-                vmv::sim::replay_batch_profiled(&trace, &analysis, &mut variants, &statics)
-                    .unwrap_or_else(|e| {
-                        panic!("batch profiled: {} on {}: {e}", bench.name(), machine.name)
-                    });
-            for (bi, model) in [MemoryModel::Perfect, MemoryModel::Realistic]
-                .into_iter()
-                .enumerate()
-            {
+            let analysis = ReplayAnalysis::build(&prepared.lowered);
+            let (pair_stats, pair_profiles) = vmv::sim::replay_batch_profiled(
+                &trace,
+                &analysis,
+                &variants_for(&analysis, machine, &MODELS),
+                &statics,
+            )
+            .unwrap_or_else(|e| {
+                panic!(
+                    "profiled batch of two: {} on {}: {e}",
+                    bench.name(),
+                    machine.name
+                )
+            });
+            for (bi, model) in MODELS.into_iter().enumerate() {
                 let ctx = || {
                     format!(
                         "{} ({}) on {} under {:?}",
@@ -237,7 +212,7 @@ fn profiler_attribution_contract_on_all_presets() {
                         SimOptions {
                             memory_model: model,
                             mem_size: prepared.build.mem_size.max(1 << 20),
-                            max_cycles: 2_000_000_000,
+                            max_cycles: MAX_CYCLES,
                         },
                     );
                     for (addr, bytes) in &prepared.build.init {
@@ -256,50 +231,31 @@ fn profiler_attribution_contract_on_all_presets() {
                     .check_against(&lp_stats)
                     .unwrap_or_else(|e| panic!("lowered attribution: {}: {e}", ctx()));
 
-                // Serial replay, profiled.
-                let (rp_stats, rp_profile) = vmv::sim::replay_profiled(
-                    &prepared.lowered,
+                // Batched replay, profiled: a batch of one, then this
+                // model's slot of the batch of two.
+                let (one_stats, one_profiles) = vmv::sim::replay_batch_profiled(
                     &trace,
-                    machine,
-                    model,
-                    2_000_000_000,
+                    &analysis,
+                    &variants_for(&analysis, machine, &[model]),
                     &statics,
                 )
-                .unwrap_or_else(|e| panic!("profiled replay: {}: {e}", ctx()));
-                assert_eq!(
-                    rp_stats,
-                    unprofiled,
-                    "profiled replay changed RunStats: {}",
-                    ctx()
-                );
-                rp_profile
-                    .check_against(&rp_stats)
-                    .unwrap_or_else(|e| panic!("replay attribution: {}: {e}", ctx()));
-
-                // Batched replay, profiled.
-                assert_eq!(
-                    batch_stats[bi],
-                    unprofiled,
-                    "profiled batch changed RunStats: {}",
-                    ctx()
-                );
-                batch_profiles[bi]
-                    .check_against(&batch_stats[bi])
-                    .unwrap_or_else(|e| panic!("batch attribution: {}: {e}", ctx()));
-
-                // All three engines attribute identically, event for event.
-                assert_eq!(
-                    lp_profile,
-                    rp_profile,
-                    "lowered vs replay profile: {}",
-                    ctx()
-                );
-                assert_eq!(
-                    rp_profile,
-                    batch_profiles[bi],
-                    "replay vs batch profile: {}",
-                    ctx()
-                );
+                .unwrap_or_else(|e| panic!("profiled batch of one: {}: {e}", ctx()));
+                for (leg, stats, profile) in [
+                    ("batch of one", &one_stats[0], &one_profiles[0]),
+                    ("batch of two", &pair_stats[bi], &pair_profiles[bi]),
+                ] {
+                    assert_eq!(
+                        *stats,
+                        unprofiled,
+                        "profiled {leg} changed RunStats: {}",
+                        ctx()
+                    );
+                    profile
+                        .check_against(stats)
+                        .unwrap_or_else(|e| panic!("{leg} attribution: {}: {e}", ctx()));
+                    // Both engines attribute identically, event for event.
+                    assert_eq!(lp_profile, *profile, "lowered vs {leg} profile: {}", ctx());
+                }
                 if model == MemoryModel::Perfect {
                     assert_eq!(
                         lp_profile,
@@ -329,7 +285,7 @@ fn lowered_engine_matches_reference_functionally() {
                 SimOptions {
                     memory_model: MemoryModel::Realistic,
                     mem_size: prepared.build.mem_size.max(1 << 20),
-                    max_cycles: 2_000_000_000,
+                    max_cycles: MAX_CYCLES,
                 },
             );
             for (addr, bytes) in &prepared.build.init {

@@ -1,7 +1,8 @@
 //! Trace-replay behaviour beyond the three-engine differential: replay is
 //! deterministic, the adaptive `simulate` path agrees with fresh execution
-//! on a shared `Prepared`, and malformed traces are rejected with typed
-//! errors instead of garbage statistics.
+//! on a shared `Prepared`, every batch slot matches fresh execution of its
+//! variant, and malformed traces are rejected with typed errors instead of
+//! garbage statistics.
 
 use vector_usimd_vliw as vmv;
 use vmv::core::{prepare, simulate, simulate_fresh};
@@ -10,7 +11,7 @@ use vmv::kernels::Benchmark;
 use vmv::machine::{presets, MachineConfig};
 use vmv::mem::MemoryModel;
 use vmv::sim::{
-    replay, replay_batch, ReplayAnalysis, ReplayError, SimOptions, Simulator, Trace, VariantState,
+    replay_batch, ReplayAnalysis, ReplayError, RunStats, SimOptions, Simulator, Trace, VariantState,
 };
 
 const MAX_CYCLES: u64 = 2_000_000_000;
@@ -38,26 +39,24 @@ fn record(
     (prepared, stats, trace)
 }
 
+/// Retime `trace` for one variant: a batch of one.
+fn replay_one(
+    prepared: &vmv::core::Prepared,
+    trace: &Trace,
+    machine: &MachineConfig,
+    model: MemoryModel,
+) -> Result<RunStats, ReplayError> {
+    let analysis = ReplayAnalysis::build(&prepared.lowered);
+    let variant = VariantState::new(&analysis, machine, model, MAX_CYCLES);
+    replay_batch(trace, &analysis, &[variant]).map(|mut out| out.pop().unwrap())
+}
+
 #[test]
 fn replaying_the_same_trace_twice_is_deterministic() {
     let machine = presets::vector2(4);
     let (prepared, stats, trace) = record(Benchmark::GsmDec, &machine, MemoryModel::Realistic);
-    let a = replay(
-        &prepared.lowered,
-        &trace,
-        &machine,
-        MemoryModel::Realistic,
-        MAX_CYCLES,
-    )
-    .expect("first replay");
-    let b = replay(
-        &prepared.lowered,
-        &trace,
-        &machine,
-        MemoryModel::Realistic,
-        MAX_CYCLES,
-    )
-    .expect("second replay");
+    let a = replay_one(&prepared, &trace, &machine, MemoryModel::Realistic).expect("first replay");
+    let b = replay_one(&prepared, &trace, &machine, MemoryModel::Realistic).expect("second replay");
     assert_eq!(a, b, "replay must be a pure function of (program, trace)");
     assert_eq!(a, stats, "and must reproduce the recorded run exactly");
 }
@@ -86,13 +85,7 @@ fn truncated_access_stream_is_rejected() {
     assert!(!trace.accesses.is_empty());
     let mut cut = trace.clone();
     cut.accesses.truncate(trace.accesses.len() / 2);
-    match replay(
-        &prepared.lowered,
-        &cut,
-        &machine,
-        MemoryModel::Perfect,
-        MAX_CYCLES,
-    ) {
+    match replay_one(&prepared, &cut, &machine, MemoryModel::Perfect) {
         Err(ReplayError::TruncatedAccesses { consumed }) => {
             assert_eq!(consumed, cut.accesses.len())
         }
@@ -110,13 +103,7 @@ fn truncated_vl_stream_is_rejected() {
     );
     let mut cut = trace.clone();
     cut.vl_sets.clear();
-    match replay(
-        &prepared.lowered,
-        &cut,
-        &machine,
-        MemoryModel::Perfect,
-        MAX_CYCLES,
-    ) {
+    match replay_one(&prepared, &cut, &machine, MemoryModel::Perfect) {
         Err(ReplayError::TruncatedVlSets { consumed }) => assert_eq!(consumed, 0),
         other => panic!("expected TruncatedVlSets, got {other:?}"),
     }
@@ -130,26 +117,14 @@ fn out_of_range_block_and_trailing_events_are_rejected() {
     let mut bogus = trace.clone();
     bogus.blocks[0] = prepared.lowered.blocks.len() as u32 + 7;
     assert!(matches!(
-        replay(
-            &prepared.lowered,
-            &bogus,
-            &machine,
-            MemoryModel::Perfect,
-            MAX_CYCLES
-        ),
+        replay_one(&prepared, &bogus, &machine, MemoryModel::Perfect),
         Err(ReplayError::BlockOutOfRange { step: 0, .. })
     ));
 
     let mut padded = trace.clone();
     padded.accesses.push(*padded.accesses.last().unwrap());
     assert!(matches!(
-        replay(
-            &prepared.lowered,
-            &padded,
-            &machine,
-            MemoryModel::Perfect,
-            MAX_CYCLES
-        ),
+        replay_one(&prepared, &padded, &machine, MemoryModel::Perfect),
         Err(ReplayError::TrailingEvents { accesses: 1, .. })
     ));
 }
@@ -160,13 +135,7 @@ fn empty_trace_is_rejected_as_missing_halt() {
     let (prepared, _, _) = record(Benchmark::GsmDec, &machine, MemoryModel::Perfect);
     let empty = Trace::default();
     assert!(matches!(
-        replay(
-            &prepared.lowered,
-            &empty,
-            &machine,
-            MemoryModel::Perfect,
-            MAX_CYCLES
-        ),
+        replay_one(&prepared, &empty, &machine, MemoryModel::Perfect),
         Err(ReplayError::MissingHalt)
     ));
 }
@@ -208,10 +177,10 @@ fn slow_memory(machine: &MachineConfig) -> MachineConfig {
 }
 
 #[test]
-fn batched_replay_is_bit_identical_to_serial_on_the_full_matrix() {
-    // The tentpole contract: for every Table 2 preset and every kernel,
-    // retiming one trace against K variants in a single fused walk must
-    // produce exactly the RunStats that K serial replays produce.  The
+fn batched_replay_matches_fresh_execution_on_the_full_matrix() {
+    // For every Table 2 preset and every kernel, retiming one trace
+    // against K variants in a single fused walk must produce exactly the
+    // RunStats that executing each variant with the lowered engine does.  The
     // variant set mixes both memory models and a latency-shifted machine
     // so the batch spans tag-equivalence classes (leaders) and pure
     // latency followers.
@@ -227,20 +196,20 @@ fn batched_replay_is_bit_identical_to_serial_on_the_full_matrix() {
                 (machine, MemoryModel::Realistic),
                 (&slow, MemoryModel::Realistic),
             ];
-            let mut variants: Vec<VariantState> = plan
+            let variants: Vec<VariantState> = plan
                 .iter()
                 .map(|(m, model)| VariantState::new(&analysis, m, *model, MAX_CYCLES))
                 .collect();
-            let batched = replay_batch(&trace, &analysis, &mut variants)
+            let batched = replay_batch(&trace, &analysis, &variants)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), machine.name));
             assert_eq!(batched.len(), plan.len());
             for ((m, model), got) in plan.iter().zip(&batched) {
-                let serial = replay(&prepared.lowered, &trace, m, *model, MAX_CYCLES)
+                let fresh = simulate_fresh(&prepared, m, *model)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), machine.name));
                 assert_eq!(
                     *got,
-                    serial,
-                    "batched replay diverged from serial: {} on {} under {:?} (mem_latency {})",
+                    fresh.stats,
+                    "batched replay diverged from execution: {} on {} under {:?} (mem_latency {})",
                     bench.name(),
                     machine.name,
                     model,
@@ -252,10 +221,10 @@ fn batched_replay_is_bit_identical_to_serial_on_the_full_matrix() {
 }
 
 #[test]
-fn random_variant_subsets_match_serial_replay() {
+fn random_variant_subsets_match_fresh_execution() {
     // Property test: any subset of memory variants, in any order (with
-    // repeats), batch-replays to exactly what each variant gets from a
-    // serial replay — including the degenerate batch of one.
+    // repeats), batch-replays to exactly what each variant gets from fresh
+    // execution — including the degenerate batch of one.
     let machine = presets::vector2(4);
     let (prepared, _, trace) = record(Benchmark::GsmDec, &machine, MemoryModel::Perfect);
     let analysis = ReplayAnalysis::build(&prepared.lowered);
@@ -276,10 +245,10 @@ fn random_variant_subsets_match_serial_replay() {
         }
     }
 
-    // Serial-replay oracle per pool entry, computed once.
-    let oracle: Vec<vmv::sim::RunStats> = pool
+    // Lowered-engine oracle per pool entry, computed once.
+    let oracle: Vec<RunStats> = pool
         .iter()
-        .map(|(m, model)| replay(&prepared.lowered, &trace, m, *model, MAX_CYCLES).unwrap())
+        .map(|(m, model)| simulate_fresh(&prepared, m, *model).unwrap().stats)
         .collect();
 
     let mut rng = SmallRng::seed_from_u64(0x5EED_BA7C);
@@ -294,11 +263,11 @@ fn random_variant_subsets_match_serial_replay() {
         let picks: Vec<usize> = (0..width)
             .map(|_| rng.gen_range_i64(0, pool.len() as i64 - 1) as usize)
             .collect();
-        let mut variants: Vec<VariantState> = picks
+        let variants: Vec<VariantState> = picks
             .iter()
             .map(|&i| VariantState::new(&analysis, &pool[i].0, pool[i].1, MAX_CYCLES))
             .collect();
-        let batched = replay_batch(&trace, &analysis, &mut variants).unwrap();
+        let batched = replay_batch(&trace, &analysis, &variants).unwrap();
         assert_eq!(batched.len(), picks.len());
         for (slot, &i) in picks.iter().enumerate() {
             assert_eq!(
@@ -316,7 +285,7 @@ fn empty_batch_and_foreign_variants_are_rejected_cleanly() {
     let analysis = ReplayAnalysis::build(&prepared.lowered);
 
     // A batch of zero variants is a no-op, not an error.
-    assert_eq!(replay_batch(&trace, &analysis, &mut []).unwrap(), vec![]);
+    assert_eq!(replay_batch(&trace, &analysis, &[]).unwrap(), vec![]);
 
     // A variant stamped from a *different* program's analysis must be
     // rejected before the walk starts, naming the offending slot.
@@ -328,11 +297,11 @@ fn empty_batch_and_foreign_variants_are_rejected_cleanly() {
         other_analysis.total_slots(),
         "test premise: the two programs use different slot universes"
     );
-    let mut variants = vec![
+    let variants = vec![
         VariantState::new(&analysis, &machine, MemoryModel::Perfect, MAX_CYCLES),
         VariantState::new(&other_analysis, &vliw, MemoryModel::Perfect, MAX_CYCLES),
     ];
-    match replay_batch(&trace, &analysis, &mut variants) {
+    match replay_batch(&trace, &analysis, &variants) {
         Err(ReplayError::VariantSlotMismatch {
             variant,
             expected,
