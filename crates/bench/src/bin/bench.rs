@@ -6,9 +6,11 @@
 //!     --min-scps 5000000
 //! ```
 //!
-//! Times the three pipeline stages — **schedule** (`vmv_sched::compile`),
+//! Times the three pipeline stages — **schedule** (`vmv_sched::compile`,
+//! itself split into its register-allocation and list-scheduling stages),
 //! **lower** (`vmv_sched::lower`) and **simulate** (the lowered engine) —
-//! separately, on two workloads:
+//! separately, and certifies every schedule it compiles
+//! (`vmv_verify::verify_compiled`, the **certify** stage), on two workloads:
 //!
 //! * the Table 2 suite: all ten paper configurations × six benchmarks ×
 //!   both memory models, single-threaded;
@@ -44,7 +46,7 @@ use std::time::Instant;
 
 use vmv_core::{prepare, simulate, simulate_fresh, variant_for};
 use vmv_kernels::Benchmark;
-use vmv_machine::all_configs;
+use vmv_machine::{all_configs, MachineConfig};
 use vmv_mem::MemoryModel;
 use vmv_sweep::{schedule_fingerprint, Json, SpecFile};
 
@@ -141,8 +143,12 @@ fn append_to_trajectory(path: &str, entry: Json) -> Vec<Json> {
 }
 
 struct StageTotals {
+    /// Whole-compile seconds: the checks, `regalloc_s` and `list_s`.
     schedule_s: f64,
+    regalloc_s: f64,
+    list_s: f64,
     lower_s: f64,
+    certify_s: f64,
     simulate_s: f64,
     schedules: u64,
     runs: u64,
@@ -153,7 +159,10 @@ impl StageTotals {
     fn new() -> Self {
         StageTotals {
             schedule_s: 0.0,
+            regalloc_s: 0.0,
+            list_s: 0.0,
             lower_s: 0.0,
+            certify_s: 0.0,
             simulate_s: 0.0,
             schedules: 0,
             runs: 0,
@@ -176,9 +185,13 @@ impl StageTotals {
             self.schedules, self.runs, self.simulated_cycles
         );
         println!(
-            "  schedule {:.3}s | lower {:.3}s | simulate {:.3}s | {:.0} simulated-cycles-per-second",
+            "  schedule {:.3}s (regalloc {:.3}s, list {:.3}s) | lower {:.3}s | certify {:.3}s | \
+             simulate {:.3}s | {:.0} simulated-cycles-per-second",
             self.schedule_s,
+            self.regalloc_s,
+            self.list_s,
             self.lower_s,
+            self.certify_s,
             self.simulate_s,
             self.scps()
         );
@@ -191,7 +204,10 @@ impl StageTotals {
             ("runs".into(), Json::u64(self.runs)),
             ("simulated_cycles".into(), Json::u64(self.simulated_cycles)),
             ("schedule_seconds".into(), Json::Num(self.schedule_s)),
+            ("regalloc_seconds".into(), Json::Num(self.regalloc_s)),
+            ("list_seconds".into(), Json::Num(self.list_s)),
             ("lower_seconds".into(), Json::Num(self.lower_s)),
+            ("certify_seconds".into(), Json::Num(self.certify_s)),
             ("simulate_seconds".into(), Json::Num(self.simulate_s)),
             ("simulated_cycles_per_second".into(), Json::Num(self.scps())),
         ])
@@ -258,24 +274,51 @@ fn workload_json(name: &str, runs: &[(StageTotals, f64)]) -> Json {
     Json::Obj(obj)
 }
 
+/// `vmv_core::prepare` (build, compile, lower) with each compile stage
+/// timed into `t` — the pre-allocation checks, register allocation and list
+/// scheduling add up to the schedule stage — then the certify stage.
+fn prepare_staged(
+    bench: Benchmark,
+    machine: &MachineConfig,
+    t: &mut StageTotals,
+) -> vmv_core::Prepared {
+    let variant = variant_for(machine);
+    let build = bench.build(variant);
+    let (checked, check_s) = timed(|| vmv_sched::check(&build.program, machine));
+    checked.expect("compiles");
+    let ((allocated, allocation), regalloc_s) =
+        timed(|| vmv_sched::allocate(&build.program, machine).expect("allocates"));
+    let (program, list_s) = timed(|| vmv_sched::schedule_blocks(allocated, machine));
+    let compiled = vmv_sched::Compiled {
+        program,
+        allocation,
+    };
+    let (lowered, lower_s) =
+        timed(|| vmv_sched::lower(&compiled.program, machine).expect("lowers"));
+    let (diags, certify_s) =
+        timed(|| vmv_verify::verify_compiled(&compiled.program, &lowered, machine));
+    assert!(
+        !vmv_verify::has_errors(&diags),
+        "{} on {}: {diags:?}",
+        bench.name(),
+        machine.name
+    );
+    t.schedule_s += check_s + regalloc_s + list_s;
+    t.regalloc_s += regalloc_s;
+    t.list_s += list_s;
+    t.lower_s += lower_s;
+    t.certify_s += certify_s;
+    t.schedules += 1;
+    vmv_core::Prepared::new(bench, variant, build, compiled, lowered)
+}
+
 /// The Table 2 suite: ten paper configurations × six benchmarks × both
 /// memory models, single-threaded, stages timed separately.
 fn bench_table2() -> StageTotals {
     let mut t = StageTotals::new();
     for machine in &all_configs() {
         for bench in Benchmark::ALL {
-            // prepare() = build + schedule + lower; time the schedule and
-            // lowering stages individually to mirror it.
-            let variant = variant_for(machine);
-            let build = bench.build(variant);
-            let (compiled, schedule_s) =
-                timed(|| vmv_sched::compile(&build.program, machine).expect("schedules"));
-            let (lowered, lower_s) =
-                timed(|| vmv_sched::lower(&compiled.program, machine).expect("lowers"));
-            t.schedule_s += schedule_s;
-            t.lower_s += lower_s;
-            t.schedules += 1;
-            let prepared = vmv_core::Prepared::new(bench, variant, build, compiled, lowered);
+            let prepared = prepare_staged(bench, machine, &mut t);
             for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
                 // simulate_fresh: this workload measures the execution
                 // engine itself; the replay stage measures the trace cache.
@@ -312,20 +355,7 @@ fn bench_synthetic() -> StageTotals {
             let prepared = match cache.get(&key) {
                 Some(p) => p.clone(),
                 None => {
-                    let variant = variant_for(&point.machine);
-                    let build = bench.build(variant);
-                    let (compiled, schedule_s) = timed(|| {
-                        vmv_sched::compile(&build.program, &point.machine).expect("schedules")
-                    });
-                    let (lowered, lower_s) = timed(|| {
-                        vmv_sched::lower(&compiled.program, &point.machine).expect("lowers")
-                    });
-                    t.schedule_s += schedule_s;
-                    t.lower_s += lower_s;
-                    t.schedules += 1;
-                    let p = std::sync::Arc::new(vmv_core::Prepared::new(
-                        bench, variant, build, compiled, lowered,
-                    ));
+                    let p = std::sync::Arc::new(prepare_staged(bench, &point.machine, &mut t));
                     cache.insert(key, p.clone());
                     p
                 }

@@ -479,4 +479,14 @@ fn main() {
             None => println!("wrote metrics snapshot to {path}"),
         }
     }
+
+    // Every report above still covers the runs that completed, but a sweep
+    // with failed runs is a failed sweep: the exit status must say so.
+    if !report.errors.is_empty() {
+        eprintln!(
+            "sweep failed: {} run(s) could not be simulated (FAILED lines above)",
+            report.errors.len()
+        );
+        std::process::exit(1);
+    }
 }

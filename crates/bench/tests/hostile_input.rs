@@ -1,6 +1,7 @@
 //! Hostile input through the command-line front ends: JSON nested far
 //! deeper than any document the tools write must be refused with exit
-//! status 2 and exactly one `error:` line, never a stack overflow.
+//! status 2 and exactly one `error:` line, never a stack overflow; a sweep
+//! whose runs fail must exit non-zero, never 0 with an empty store.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -45,5 +46,33 @@ fn deeply_nested_store_line_is_refused_by_report() {
         env!("CARGO_BIN_EXE_report"),
         &["pareto", "--store", store.to_str().unwrap()],
     );
+    std::fs::remove_file(store).ok();
+}
+
+#[test]
+fn sweep_with_failed_runs_exits_non_zero() {
+    // A 3-way L1 is a geometry the cache model cannot build, so the one
+    // run of this spec fails.
+    let spec = temp_file(
+        "infeasible_assoc.json",
+        r#"{"name": "infeasible_assoc", "axes": [
+            {"axis": "l1_assoc", "values": [3]},
+            {"axis": "benchmarks", "values": ["GSM_DEC"]}]}"#,
+    );
+    let store = spec.with_extension("jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["--spec", spec.to_str().unwrap()])
+        .args(["--out", store.to_str().unwrap(), "--threads", "1"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("FAILED: GSM_DEC on l1a3")),
+        "{stderr}"
+    );
+    std::fs::remove_file(spec).ok();
     std::fs::remove_file(store).ok();
 }

@@ -35,5 +35,5 @@ pub use latency::LatencyDescriptor;
 pub use opcode::{BrCond, FuClass, LatClass, MemWidth, Opcode};
 pub use packed::{Elem, Sat, Sign};
 pub use program::{BasicBlock, BlockId, Op, Program, RegionId, RegionInfo};
-pub use reg::{Reg, RegClass, RegFileSizes, SlotLayout, MAX_VL, NO_SLOT};
+pub use reg::{Reg, RegClass, RegFileSizes, RegIndex, SlotLayout, MAX_VL, NO_SLOT};
 pub use verify::{assert_well_formed, verify_program, VerifyError};

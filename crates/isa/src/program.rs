@@ -99,17 +99,14 @@ impl Op {
         self
     }
 
-    /// All registers read by this operation, including the implicit
-    /// control-register reads of vector operations.
-    pub fn reads(&self) -> Vec<Reg> {
-        let mut v = self.srcs.clone();
-        if self.opcode.reads_vl() {
-            v.push(Reg::vl());
-        }
-        if self.opcode.reads_vs() {
-            v.push(Reg::vs());
-        }
-        v
+    /// All registers read by this operation, in order: the explicit
+    /// sources, then the implicit `VL`/`VS` reads of vector operations.
+    /// Allocation-free, so the scheduler, register allocator and verifier
+    /// can walk it once per operation.
+    pub fn reads(&self) -> impl Iterator<Item = Reg> + '_ {
+        let vl = self.opcode.reads_vl().then_some(Reg::vl());
+        let vs = self.opcode.reads_vs().then_some(Reg::vs());
+        self.srcs.iter().copied().chain(vl).chain(vs)
     }
 
     /// The register written by this operation, if any.
@@ -291,15 +288,14 @@ mod tests {
         let op = Op::new(Opcode::IAdd)
             .with_dst(Reg::int(2))
             .with_srcs(&[Reg::int(0), Reg::int(1)]);
-        assert_eq!(op.reads(), vec![Reg::int(0), Reg::int(1)]);
+        assert_eq!(op.reads().collect::<Vec<_>>(), [Reg::int(0), Reg::int(1)]);
         assert_eq!(op.writes(), Some(Reg::int(2)));
 
         let vop = Op::new(Opcode::VLoad)
             .with_dst(Reg::vec(0))
             .with_srcs(&[Reg::int(3)]);
-        let reads = vop.reads();
-        assert!(reads.contains(&Reg::vl()));
-        assert!(reads.contains(&Reg::vs()));
+        let reads: Vec<Reg> = vop.reads().collect();
+        assert_eq!(reads, [Reg::int(3), Reg::vl(), Reg::vs()]);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 
 use std::fmt;
 
+use crate::program::Op;
+
 /// Maximum architectural vector length (number of 64-bit words per vector
 /// register), fixed at 16 by the ISA (paper §3.1).
 pub const MAX_VL: u32 = 16;
@@ -149,6 +151,78 @@ impl RegFileSizes {
     }
 }
 
+/// Position of a class in `RegClass::ALL` (and in every per-class table).
+fn class_pos(class: RegClass) -> usize {
+    match class {
+        RegClass::Int => 0,
+        RegClass::Simd => 1,
+        RegClass::Vec => 2,
+        RegClass::Acc => 3,
+        RegClass::Ctrl => 4,
+    }
+}
+
+/// Dense numbering of the registers a sequence of operations touches.
+///
+/// Class `k` (in `RegClass::ALL` order) owns the ids `base(k) .. base(k+1)`,
+/// one per register index up to the highest index the operations use, so
+/// per-register compile-time state (liveness bitsets, last-writer tables,
+/// rename maps) lives in flat arrays instead of hash maps keyed by `Reg`.
+/// Unlike [`SlotLayout`], which is sized by a machine's register files,
+/// the numbering is sized by the operations themselves, so it also covers
+/// virtual registers before allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegIndex {
+    bases: [usize; 6],
+}
+
+impl RegIndex {
+    /// Number every register that `ops` read or write.
+    pub fn covering<'a>(ops: impl IntoIterator<Item = &'a Op>) -> RegIndex {
+        let mut counts = [0usize; 5];
+        for op in ops {
+            for r in op.reads().chain(op.writes()) {
+                let k = class_pos(r.class);
+                counts[k] = counts[k].max(r.index as usize + 1);
+            }
+        }
+        let mut bases = [0usize; 6];
+        for k in 0..5 {
+            bases[k + 1] = bases[k] + counts[k];
+        }
+        RegIndex { bases }
+    }
+
+    /// Total number of ids.
+    pub fn len(&self) -> usize {
+        self.bases[5]
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Id of a register the numbering covers.
+    #[inline]
+    pub fn id(&self, r: Reg) -> usize {
+        let k = class_pos(r.class);
+        let id = self.bases[k] + r.index as usize;
+        debug_assert!(id < self.bases[k + 1], "{r:?} is not covered");
+        id
+    }
+
+    /// The ids of one class, in increasing register index.
+    pub fn ids_of(&self, class: RegClass) -> std::ops::Range<usize> {
+        let k = class_pos(class);
+        self.bases[k]..self.bases[k + 1]
+    }
+
+    /// The register behind an id of `class` (inverse of [`Self::id`]).
+    pub fn reg(&self, class: RegClass, id: usize) -> Reg {
+        Reg::new(class, (id - self.bases[class_pos(class)]) as u32)
+    }
+}
+
 /// Sentinel slot value meaning "no slot" (e.g. an operation without a
 /// destination register).  Kept out of the valid range by [`SlotLayout`].
 pub const NO_SLOT: u16 = u16::MAX;
@@ -199,20 +273,10 @@ impl SlotLayout {
         self.total as usize
     }
 
-    fn class_pos(class: RegClass) -> usize {
-        match class {
-            RegClass::Int => 0,
-            RegClass::Simd => 1,
-            RegClass::Vec => 2,
-            RegClass::Acc => 3,
-            RegClass::Ctrl => 4,
-        }
-    }
-
     /// Slot of a register, or `None` when its index exceeds the class's
     /// architectural register count.
     pub fn slot_of(&self, r: Reg) -> Option<u16> {
-        let pos = Self::class_pos(r.class);
+        let pos = class_pos(r.class);
         if r.index < self.counts[pos] {
             Some(self.bases[pos] + r.index as u16)
         } else {
@@ -292,6 +356,28 @@ mod tests {
         assert_eq!(seen.len(), layout.total_slots());
         assert_eq!(layout.slot_of(Reg::vl()), Some(layout.vl_slot()));
         assert_eq!(layout.slot_of(Reg::vs()), Some(layout.vs_slot()));
+    }
+
+    #[test]
+    fn reg_index_numbers_each_class_densely() {
+        let ops = [
+            Op::new(crate::Opcode::IAdd)
+                .with_dst(Reg::int(3))
+                .with_srcs(&[Reg::int(0), Reg::int(1)]),
+            Op::new(crate::Opcode::VLoad)
+                .with_dst(Reg::vec(1))
+                .with_srcs(&[Reg::int(2)]),
+        ];
+        let index = RegIndex::covering(&ops);
+        // r0..r3, no simd, v0..v1, no acc, vl and vs.
+        assert_eq!(index.len(), 4 + 2 + 2);
+        assert_eq!(index.ids_of(RegClass::Int), 0..4);
+        assert_eq!(index.ids_of(RegClass::Simd), 4..4);
+        assert_eq!(index.id(Reg::vec(1)), 5);
+        assert_eq!(index.id(Reg::vs()), 7);
+        for r in [Reg::int(2), Reg::vec(0), Reg::vl()] {
+            assert_eq!(index.reg(r.class, index.id(r)), r);
+        }
     }
 
     #[test]

@@ -179,7 +179,8 @@ impl Counter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum SpanKind {
-    /// Time a sweep job waited between job-list creation and pickup.
+    /// Time a sweep job waited between job-list creation and pickup by a
+    /// pool worker (0 on the single-worker inline path, which never queues).
     JobQueueWait,
     /// Time a sweep job spent in `get_or_compile` (schedule + lower on a
     /// miss, lock handoff on a hit).

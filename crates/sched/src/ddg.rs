@@ -7,38 +7,10 @@
 //! of Fig. 3 and, for vector RAW dependences, from the chaining rule of
 //! §3.3.
 
-use std::hash::BuildHasherDefault;
-
-use vmv_isa::{Op, Reg, RegClass};
+use vmv_isa::{Op, Reg, RegClass, RegIndex};
 use vmv_machine::MachineConfig;
 
-/// FNV-1a hasher for the small fixed-size `Reg` keys of the dependence
-/// bookkeeping maps — the default SipHash is a measurable share of schedule
-/// time on large blocks.
-#[derive(Default)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xCBF2_9CE4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FnvMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+use crate::restable::{unit_pool, Pool};
 
 /// Why two operations are ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,69 +38,135 @@ pub struct DepEdge {
     pub latency: u32,
 }
 
+/// What the scheduler needs to know about one operation's timing on a
+/// machine, read off its latency descriptor once per block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpTiming {
+    /// Functional-unit / port pool the operation draws from.
+    pub pool: Pool,
+    /// Cycles the operation keeps its unit busy (Fig. 3b).
+    pub occupancy: u32,
+    /// RAW issue distance to a consumer reading through the register file.
+    pub result: u32,
+    /// RAW issue distance to a chained vector consumer (§3.3).
+    pub chained: u32,
+}
+
+impl OpTiming {
+    pub fn of(op: &Op, machine: &MachineConfig) -> Self {
+        let desc = machine.latency_descriptor(op);
+        OpTiming {
+            pool: unit_pool(op, machine),
+            occupancy: desc.occupancy(),
+            result: desc.result_latency().max(1),
+            chained: desc.chained_latency().max(1),
+        }
+    }
+}
+
+/// Edges under construction, with the out-degree of every op so far.
+struct EdgeList {
+    edges: Vec<DepEdge>,
+    out_degree: Vec<u32>,
+}
+
+impl EdgeList {
+    fn add(&mut self, from: usize, to: usize, kind: DepKind, latency: u32) {
+        self.out_degree[from] += 1;
+        self.edges.push(DepEdge {
+            from,
+            to,
+            kind,
+            latency,
+        });
+    }
+}
+
+/// "No operation" in the dense per-register tables.
+const NONE: u32 = u32::MAX;
+
 /// The dependence graph of one basic block.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     pub num_ops: usize,
     pub edges: Vec<DepEdge>,
-    /// `preds[i]` lists the indices of edges ending at op `i`.
-    pub preds: Vec<Vec<usize>>,
-    /// `succs[i]` lists the indices of edges starting at op `i`.
-    pub succs: Vec<Vec<usize>>,
+    /// Successors in compressed sparse-row form: the edges leaving op `i`
+    /// are `succ_edges[succ_offsets[i]..succ_offsets[i + 1]]`, as indices
+    /// into `edges` in creation order.
+    succ_offsets: Vec<u32>,
+    succ_edges: Vec<u32>,
+    /// Number of edges ending at each op.
+    pred_counts: Vec<u32>,
 }
 
 impl DepGraph {
     /// Build the dependence graph of `ops` for the given machine.
     pub fn build(ops: &[Op], machine: &MachineConfig) -> Self {
-        let mut edges: Vec<DepEdge> = Vec::new();
+        let timing: Vec<OpTiming> = ops.iter().map(|op| OpTiming::of(op, machine)).collect();
+        Self::with_timing(ops, &timing, machine.chaining)
+    }
+
+    /// Build the graph from per-op timings computed by the caller.
+    pub(crate) fn with_timing(ops: &[Op], timing: &[OpTiming], chaining: bool) -> Self {
+        let n = ops.len();
+        let mut edges = EdgeList {
+            edges: Vec::with_capacity(4 * n),
+            out_degree: vec![0; n],
+        };
 
         // For RAW edges we need, for every register, the index of the last
-        // writer; for WAR/WAW edges the last readers / writer as well.
-        let mut last_writer: FnvMap<Reg, usize> = FnvMap::default();
-        let mut last_readers: FnvMap<Reg, Vec<usize>> = FnvMap::default();
+        // writer; for WAR/WAW edges the last readers / writer as well.  Both
+        // are dense tables over the block's registers.  The readers since
+        // each register's last write form a linked list threaded through
+        // one shared arena (`reader_op` / `reader_next`), head and tail per
+        // register, so recording a read never allocates per register.
+        let regs = RegIndex::covering(ops);
+        let mut last_writer = vec![NONE; regs.len()];
+        let mut readers_head = vec![NONE; regs.len()];
+        let mut readers_tail = vec![NONE; regs.len()];
+        let mut reader_op: Vec<u32> = Vec::with_capacity(3 * n);
+        let mut reader_next: Vec<u32> = Vec::with_capacity(3 * n);
         let mut last_store: Option<usize> = None;
         let mut loads_since_store: Vec<usize> = Vec::new();
 
         for (i, op) in ops.iter().enumerate() {
-            let reads = op.reads();
-            let writes = op.writes();
-
-            // RAW: this op reads a register written earlier in the block.
-            for r in &reads {
-                if let Some(&w) = last_writer.get(r) {
-                    let producer = &ops[w];
-                    let latency = raw_latency(producer, op, *r, machine);
-                    edges.push(DepEdge {
-                        from: w,
-                        to: i,
-                        kind: DepKind::Raw,
-                        latency,
-                    });
+            // Control transfers stay at the end of the block: every earlier
+            // operation must issue no later than the branch.  Only ops with
+            // no successor yet need the edge: every other op reaches one of
+            // them along edges of non-negative latency, so it already issues
+            // no later, and it is placed before them.
+            if op.opcode.is_branch() || op.opcode == vmv_isa::Opcode::Halt {
+                for j in 0..i {
+                    if edges.out_degree[j] == 0 {
+                        edges.add(j, i, DepKind::Control, 0);
+                    }
                 }
             }
 
-            if let Some(dst) = writes {
+            // RAW: this op reads a register written earlier in the block.
+            for r in op.reads() {
+                let w = last_writer[regs.id(r)];
+                if w != NONE {
+                    let w = w as usize;
+                    let latency = raw_latency(&ops[w], &timing[w], op, r, chaining);
+                    edges.add(w, i, DepKind::Raw, latency);
+                }
+            }
+
+            if let Some(dst) = op.writes() {
+                let d = regs.id(dst);
                 // WAW: ordered after the previous writer.
-                if let Some(&w) = last_writer.get(&dst) {
-                    edges.push(DepEdge {
-                        from: w,
-                        to: i,
-                        kind: DepKind::Waw,
-                        latency: 1,
-                    });
+                if last_writer[d] != NONE {
+                    edges.add(last_writer[d] as usize, i, DepKind::Waw, 1);
                 }
                 // WAR: ordered after previous readers.
-                if let Some(readers) = last_readers.get(&dst) {
-                    for &r in readers {
-                        if r != i {
-                            edges.push(DepEdge {
-                                from: r,
-                                to: i,
-                                kind: DepKind::War,
-                                latency: 0,
-                            });
-                        }
+                let mut at = readers_head[d];
+                while at != NONE {
+                    let r = reader_op[at as usize] as usize;
+                    if r != i {
+                        edges.add(r, i, DepKind::War, 0);
                     }
+                    at = reader_next[at as usize];
                 }
             }
 
@@ -137,70 +175,70 @@ impl DepGraph {
             // keeping independent accesses in separate registers/blocks).
             if op.opcode.is_store() {
                 if let Some(s) = last_store {
-                    edges.push(DepEdge {
-                        from: s,
-                        to: i,
-                        kind: DepKind::Mem,
-                        latency: 1,
-                    });
+                    edges.add(s, i, DepKind::Mem, 1);
                 }
                 for &l in &loads_since_store {
-                    edges.push(DepEdge {
-                        from: l,
-                        to: i,
-                        kind: DepKind::Mem,
-                        latency: 0,
-                    });
+                    edges.add(l, i, DepKind::Mem, 0);
                 }
                 last_store = Some(i);
                 loads_since_store.clear();
             } else if op.opcode.is_load() {
                 if let Some(s) = last_store {
-                    edges.push(DepEdge {
-                        from: s,
-                        to: i,
-                        kind: DepKind::Mem,
-                        latency: 1,
-                    });
+                    edges.add(s, i, DepKind::Mem, 1);
                 }
                 loads_since_store.push(i);
             }
 
-            // Control transfers stay at the end of the block: every earlier
-            // operation must issue no later than the branch.
-            if op.opcode.is_branch() || op.opcode == vmv_isa::Opcode::Halt {
-                for j in 0..i {
-                    edges.push(DepEdge {
-                        from: j,
-                        to: i,
-                        kind: DepKind::Control,
-                        latency: 0,
-                    });
-                }
-            }
-
             // Update bookkeeping.
-            for r in &reads {
-                last_readers.entry(*r).or_default().push(i);
+            for r in op.reads() {
+                let id = regs.id(r);
+                let at = reader_op.len() as u32;
+                reader_op.push(i as u32);
+                reader_next.push(NONE);
+                match readers_tail[id] {
+                    NONE => readers_head[id] = at,
+                    tail => reader_next[tail as usize] = at,
+                }
+                readers_tail[id] = at;
             }
-            if let Some(dst) = writes {
-                last_writer.insert(dst, i);
-                last_readers.entry(dst).or_default().clear();
+            if let Some(dst) = op.writes() {
+                let d = regs.id(dst);
+                last_writer[d] = i as u32;
+                readers_head[d] = NONE;
+                readers_tail[d] = NONE;
             }
         }
 
-        let mut preds = vec![Vec::new(); ops.len()];
-        let mut succs = vec![Vec::new(); ops.len()];
+        // Successor lists in CSR form: prefix-sum the out-degrees, then
+        // scatter the edge indices (each op's list stays in creation order).
+        let EdgeList { edges, out_degree } = edges;
+        let mut succ_offsets = vec![0u32; n + 1];
+        for i in 0..n {
+            succ_offsets[i + 1] = succ_offsets[i] + out_degree[i];
+        }
+        let mut pred_counts = vec![0u32; n];
+        let mut cursor = succ_offsets.clone();
+        let mut succ_edges = vec![0u32; edges.len()];
         for (idx, e) in edges.iter().enumerate() {
-            preds[e.to].push(idx);
-            succs[e.from].push(idx);
+            pred_counts[e.to] += 1;
+            succ_edges[cursor[e.from] as usize] = idx as u32;
+            cursor[e.from] += 1;
         }
         DepGraph {
-            num_ops: ops.len(),
+            num_ops: n,
             edges,
-            preds,
-            succs,
+            succ_offsets,
+            succ_edges,
+            pred_counts,
         }
+    }
+
+    /// The edges leaving op `i`, in creation order.
+    pub fn succs(&self, i: usize) -> impl Iterator<Item = &DepEdge> + '_ {
+        let range = self.succ_offsets[i] as usize..self.succ_offsets[i + 1] as usize;
+        self.succ_edges[range]
+            .iter()
+            .map(|&e| &self.edges[e as usize])
     }
 
     /// Critical-path height of every operation: the longest latency path
@@ -211,39 +249,36 @@ impl DepGraph {
         // Operations are in program order, so a reverse sweep sees all
         // successors (edges always point forward) before their predecessors.
         for i in (0..self.num_ops).rev() {
-            let mut h = 0;
-            for &eidx in &self.succs[i] {
-                let e = &self.edges[eidx];
-                h = h.max(e.latency + heights[e.to]);
-            }
-            heights[i] = h;
+            heights[i] = self
+                .succs(i)
+                .map(|e| e.latency + heights[e.to])
+                .max()
+                .unwrap_or(0);
         }
         heights
     }
 
-    /// Number of unscheduled predecessors of each op (used to seed the ready
-    /// list).
-    pub fn pred_counts(&self) -> Vec<usize> {
-        self.preds.iter().map(|p| p.len()).collect()
+    /// Number of predecessors of each op (used to seed the ready list).
+    pub fn pred_counts(&self) -> &[u32] {
+        &self.pred_counts
     }
 }
 
 /// Issue-to-issue latency of a RAW dependence from `producer` to `consumer`
 /// through register `reg`.
-fn raw_latency(producer: &Op, consumer: &Op, reg: Reg, machine: &MachineConfig) -> u32 {
-    let desc = machine.latency_descriptor(producer);
+fn raw_latency(producer: &Op, timing: &OpTiming, consumer: &Op, reg: Reg, chaining: bool) -> u32 {
     // Chaining (paper §3.3): a vector operation that reads a *vector
     // register* produced by another vector operation may be scheduled as
     // soon as the first elements are available, i.e. after the producer's
     // sub-operation flow latency rather than its full completion.
-    let vector_chain = machine.chaining
+    let vector_chain = chaining
         && reg.class == RegClass::Vec
         && producer.opcode.is_vector_op()
         && consumer.opcode.is_vector_op();
     if vector_chain {
-        desc.chained_latency().max(1)
+        timing.chained
     } else {
-        desc.result_latency().max(1)
+        timing.result
     }
 }
 
@@ -386,6 +421,27 @@ mod tests {
             .filter(|e| e.kind == DepKind::Control)
             .collect();
         assert_eq!(ctrl.len(), 2);
+    }
+
+    #[test]
+    fn control_edges_come_only_from_ops_without_successors() {
+        let machine = presets::vliw(2);
+        let ops = vec![
+            op_movi(Reg::int(0), 1),
+            op_add(Reg::int(1), Reg::int(0), Reg::int(0)), // after op 0
+            op_movi(Reg::int(2), 2),
+            Op::new(Opcode::Halt),
+        ];
+        let g = DepGraph::build(&ops, &machine);
+        let mut ctrl: Vec<_> = g
+            .edges
+            .iter()
+            .filter(|e| e.kind == DepKind::Control)
+            .map(|e| e.from)
+            .collect();
+        ctrl.sort();
+        // Op 0 reaches the halt through op 1.
+        assert_eq!(ctrl, [1, 2]);
     }
 
     #[test]

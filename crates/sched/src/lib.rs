@@ -29,6 +29,6 @@ pub mod restable;
 pub use bundle::{ScheduledBlock, ScheduledOp, ScheduledProgram};
 pub use ddg::{DepEdge, DepGraph, DepKind};
 pub use lower::{lower, LowerError, LoweredBlock, LoweredOp, LoweredProgram};
-pub use pipeline::{compile, CompileError, Compiled};
+pub use pipeline::{check, compile, schedule_blocks, CompileError, Compiled};
 pub use regalloc::{allocate, Allocation, RegAllocError};
 pub use restable::ReservationTable;

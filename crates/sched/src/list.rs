@@ -12,24 +12,57 @@ use std::collections::BinaryHeap;
 use vmv_isa::Op;
 use vmv_machine::MachineConfig;
 
-use crate::ddg::DepGraph;
+use crate::ddg::{DepGraph, OpTiming};
 use crate::restable::ReservationTable;
 
 /// Schedule the operations of one basic block, returning one bundle (vector
 /// of operations) per issue cycle.  The relative order of memory operations
 /// and the block terminator is preserved by the dependence graph.
 pub fn schedule_block(ops: &[Op], machine: &MachineConfig) -> Vec<Vec<Op>> {
+    bundle(&place(ops, machine), |i| ops[i].clone())
+}
+
+/// [`schedule_block`] for a block the caller owns: the operations move into
+/// their bundles instead of being cloned.
+pub(crate) fn schedule_owned_block(ops: Vec<Op>, machine: &MachineConfig) -> Vec<Vec<Op>> {
+    let placements = place(&ops, machine);
+    let mut ops: Vec<Option<Op>> = ops.into_iter().map(Some).collect();
+    bundle(&placements, |i| {
+        ops[i].take().expect("each op is placed once")
+    })
+}
+
+/// Number of cycles a block's placements span.
+fn span(placements: &[(u32, usize)]) -> usize {
+    placements.last().map_or(0, |&(c, _)| c as usize + 1)
+}
+
+/// Group placements (in placement order) into one bundle per cycle, empty
+/// cycles included.
+fn bundle(placements: &[(u32, usize)], mut op: impl FnMut(usize) -> Op) -> Vec<Vec<Op>> {
+    let mut bundles: Vec<Vec<Op>> = vec![Vec::new(); span(placements)];
+    for &(c, i) in placements {
+        bundles[c as usize].push(op(i));
+    }
+    bundles
+}
+
+/// List-schedule one block: every op's `(issue cycle, op index)`, in
+/// placement order (so cycles never decrease).
+fn place(ops: &[Op], machine: &MachineConfig) -> Vec<(u32, usize)> {
     let n = ops.len();
     if n == 0 {
         return Vec::new();
     }
-    let graph = DepGraph::build(ops, machine);
+    // Pool, occupancy and RAW latencies of every op, read off the machine
+    // once per block rather than once per edge and per placement probe.
+    let timing: Vec<OpTiming> = ops.iter().map(|op| OpTiming::of(op, machine)).collect();
+    let graph = DepGraph::with_timing(ops, &timing, machine.chaining);
     let heights = graph.heights();
-    let mut remaining_preds = graph.pred_counts();
+    let mut remaining_preds = graph.pred_counts().to_vec();
     let mut earliest = vec![0u32; n];
     let mut table = ReservationTable::new(machine);
-    let mut bundles: Vec<Vec<Op>> = Vec::new();
-    let mut placed = 0usize;
+    let mut placements: Vec<(u32, usize)> = Vec::with_capacity(n);
     let mut cycle: u32 = 0;
 
     // Generous safety bound: a block can never need more cycles than
@@ -57,7 +90,7 @@ pub fn schedule_block(ops: &[Op], machine: &MachineConfig) -> Vec<Vec<Op>> {
     // Telemetry is accumulated locally and folded into the recorder once
     // per block, keeping the cycle loop free of atomics.
     let mut ready_scans = 0u64;
-    while placed < n {
+    while placements.len() < n {
         ready_scans += 1;
         assert!(
             cycle < safety_limit,
@@ -92,29 +125,37 @@ pub fn schedule_block(ops: &[Op], machine: &MachineConfig) -> Vec<Vec<Op>> {
             ready.sort_by_key(|&i| (Reverse(heights[i]), i));
         }
 
-        // `retain` visits in order and keeps the relative order of the
-        // survivors: placement order matches the sorted priority, and ops
-        // blocked on resources stay for the next cycle.
-        ready.retain(|&i| {
-            if !table.can_place(&ops[i], cycle) {
-                return true;
+        // Visit in priority order, compacting the survivors in place so ops
+        // blocked on resources keep their relative order for the next
+        // cycle.  Once the cycle's issue slots are full nothing else can
+        // place, so the rest of the list survives unvisited.
+        let mut issued = 0usize;
+        let mut keep = 0usize;
+        for k in 0..ready.len() {
+            if issued == machine.issue_width {
+                ready.copy_within(k.., keep);
+                keep += ready.len() - k;
+                break;
             }
-            table.place(&ops[i], cycle);
-            if bundles.len() <= cycle as usize {
-                bundles.resize(cycle as usize + 1, Vec::new());
+            let i = ready[k];
+            let t = &timing[i];
+            if !table.fits(t.pool, t.occupancy, cycle) {
+                ready[keep] = i;
+                keep += 1;
+                continue;
             }
-            bundles[cycle as usize].push(ops[i].clone());
-            placed += 1;
-            for &eidx in &graph.succs[i] {
-                let e = &graph.edges[eidx];
+            table.reserve(t.pool, t.occupancy, cycle);
+            placements.push((cycle, i));
+            issued += 1;
+            for e in graph.succs(i) {
                 remaining_preds[e.to] -= 1;
                 earliest[e.to] = earliest[e.to].max(cycle + e.latency);
                 if remaining_preds[e.to] == 0 {
                     pending.push(Reverse((earliest[e.to], e.to)));
                 }
             }
-            false
-        });
+        }
+        ready.truncate(keep);
         cycle += 1;
     }
 
@@ -123,10 +164,10 @@ pub fn schedule_block(ops: &[Op], machine: &MachineConfig) -> Vec<Vec<Op>> {
         vmv_obs::incr(Counter::SchedBlocks);
         vmv_obs::add(Counter::SchedReadyScans, ready_scans);
         vmv_obs::add(Counter::SchedOpsPlaced, n as u64);
-        vmv_obs::add(Counter::SchedCyclesScheduled, bundles.len() as u64);
+        vmv_obs::add(Counter::SchedCyclesScheduled, span(&placements) as u64);
     }
 
-    bundles
+    placements
 }
 
 #[cfg(test)]

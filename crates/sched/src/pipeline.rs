@@ -11,7 +11,7 @@ use vmv_isa::{verify_program, Program};
 use vmv_machine::MachineConfig;
 
 use crate::bundle::{ScheduledBlock, ScheduledProgram};
-use crate::list::schedule_block;
+use crate::list::schedule_owned_block;
 use crate::regalloc::{allocate, Allocation, RegAllocError};
 
 /// Errors produced by the compilation pipeline.
@@ -54,13 +54,21 @@ pub struct Compiled {
 
 /// Compile `program` for `machine`.
 pub fn compile(program: &Program, machine: &MachineConfig) -> Result<Compiled, CompileError> {
-    // 1. Static verification.
+    check(program, machine)?;
+    let (allocated, allocation) = allocate(program, machine).map_err(CompileError::RegAlloc)?;
+    Ok(Compiled {
+        program: schedule_blocks(allocated, machine),
+        allocation,
+    })
+}
+
+/// The checks [`compile`] runs before register allocation: static
+/// verification, then ISA support of every operation on `machine`.
+pub fn check(program: &Program, machine: &MachineConfig) -> Result<(), CompileError> {
     let errors = verify_program(program);
     if !errors.is_empty() {
         return Err(CompileError::Malformed(errors));
     }
-
-    // 2. ISA support check.
     for (_, op) in program.iter_ops() {
         if !machine.supports_op(op.opcode) {
             return Err(CompileError::UnsupportedOp {
@@ -69,25 +77,21 @@ pub fn compile(program: &Program, machine: &MachineConfig) -> Result<Compiled, C
             });
         }
     }
+    Ok(())
+}
 
-    // 3. Register allocation.
-    let (allocated, allocation) = allocate(program, machine).map_err(CompileError::RegAlloc)?;
-
-    // 4. Per-block list scheduling.
-    let mut scheduled = ScheduledProgram::from_program_shell(program);
-    for block in &allocated.blocks {
-        let bundles = schedule_block(&block.ops, machine);
+/// The last stage of [`compile`]: list-schedule every block of a
+/// register-allocated program, moving its operations into the bundles.
+pub fn schedule_blocks(allocated: Program, machine: &MachineConfig) -> ScheduledProgram {
+    let mut scheduled = ScheduledProgram::from_program_shell(&allocated);
+    for block in allocated.blocks {
         scheduled.blocks.push(ScheduledBlock {
-            label: block.label.clone(),
+            label: block.label,
             region: block.region,
-            bundles,
+            bundles: schedule_owned_block(block.ops, machine),
         });
     }
-
-    Ok(Compiled {
-        program: scheduled,
-        allocation,
-    })
+    scheduled
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //! reported as a structured error naming the class and the demand, which the
 //! kernel test-suite turns into a hard failure.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 
-use vmv_isa::{Program, Reg, RegClass};
+use vmv_isa::{Program, Reg, RegClass, RegIndex};
 use vmv_machine::MachineConfig;
 
 /// Error returned when a program needs more registers of some class than the
@@ -45,25 +45,87 @@ pub struct Allocation {
     pub peak_pressure: HashMap<RegClass, usize>,
 }
 
+/// The register classes the allocator assigns, in allocation order.
+/// Control registers (`VL`, `VS`) are architectural and never renamed.
+const CLASSES: [RegClass; 4] = [RegClass::Int, RegClass::Simd, RegClass::Vec, RegClass::Acc];
+
+/// Marker for "no physical register assigned" in the dense rename table.
+const UNMAPPED: u32 = u32::MAX;
+
+/// Fixed-width bitsets over dense register ids, one row per basic block.
+struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    fn new(rows: usize, width: usize) -> Self {
+        let words = width.div_ceil(64);
+        BitRows {
+            words,
+            bits: vec![0; rows * words],
+        }
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    #[inline]
+    fn set(&mut self, r: usize, id: usize) {
+        self.bits[r * self.words + id / 64] |= 1 << (id % 64);
+    }
+
+    #[inline]
+    fn contains(&self, r: usize, id: usize) -> bool {
+        self.bits[r * self.words + id / 64] & (1 << (id % 64)) != 0
+    }
+}
+
+/// Every set bit of a bitset row, in increasing id order.
+fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
 /// Allocate the virtual registers of `program` onto the register files of
 /// `machine`, returning a new program with every register renamed.
 pub fn allocate(
     program: &Program,
     machine: &MachineConfig,
 ) -> Result<(Program, Allocation), RegAllocError> {
-    let intervals = live_intervals(program);
+    let regs = RegIndex::covering(program.iter_ops().map(|(_, op)| op));
+    let intervals = live_intervals(program, &regs);
 
-    let mut mapping: HashMap<Reg, Reg> = HashMap::new();
+    // Dense virtual → physical rename table.
+    let mut phys_of = vec![UNMAPPED; regs.len()];
     let mut peak_pressure: HashMap<RegClass, usize> = HashMap::new();
+    let mut class_intervals: Vec<(usize, usize, usize)> = Vec::new(); // (start, id, end)
+    let mut active: Vec<(usize, u32)> = Vec::new(); // (end, phys index)
+    let mut free: VecDeque<u32> = VecDeque::new();
 
-    for class in [RegClass::Int, RegClass::Simd, RegClass::Vec, RegClass::Acc] {
+    for class in CLASSES {
         let available = machine.regs.count(class) as usize;
-        let mut class_intervals: Vec<(Reg, (usize, usize))> = intervals
-            .iter()
-            .filter(|(r, _)| r.class == class)
-            .map(|(r, iv)| (*r, *iv))
-            .collect();
-        class_intervals.sort_by_key(|(r, (start, _))| (*start, r.index));
+        // Ids ascend with the virtual index, so sorting by (start, id) is
+        // the (start, index) order of the linear scan.
+        class_intervals.clear();
+        class_intervals.extend(
+            regs.ids_of(class)
+                .filter_map(|id| intervals[id].map(|(start, end)| (start, id, end))),
+        );
+        class_intervals.sort_unstable();
 
         // Linear scan.  The free list is a FIFO so that a just-released
         // physical register is not immediately reused: immediate reuse would
@@ -71,14 +133,15 @@ pub fn allocate(
         // schedule (the classic allocate-before-schedule phase-ordering
         // hazard); cycling round-robin through the large Table 2 register
         // files keeps the reuse distance long.
-        let mut active: Vec<(usize, u32)> = Vec::new(); // (end, phys index)
-        let mut free: std::collections::VecDeque<u32> = (0..available as u32).collect();
+        active.clear();
+        free.clear();
+        free.extend(0..available as u32);
         let mut peak = 0usize;
 
-        for (vreg, (start, end)) in &class_intervals {
+        for &(start, id, end) in &class_intervals {
             // Expire finished intervals.
             active.retain(|&(e, phys)| {
-                if e < *start {
+                if e < start {
                     free.push_back(phys);
                     false
                 } else {
@@ -96,30 +159,33 @@ pub fn allocate(
                     })
                 }
             };
-            active.push((*end, phys));
+            active.push((end, phys));
             peak = peak.max(active.len());
-            mapping.insert(*vreg, Reg::new(class, phys));
+            phys_of[id] = phys;
         }
         peak_pressure.insert(class, peak);
     }
 
-    // Rewrite the program with the mapping (control registers unchanged).
+    // Rewrite the program through the table (control registers unchanged).
+    let rename = |r: &mut Reg| {
+        if r.class != RegClass::Ctrl {
+            *r = Reg::new(r.class, phys_of[regs.id(*r)]);
+        }
+    };
     let mut out = program.clone();
     for block in &mut out.blocks {
         for op in &mut block.ops {
-            if let Some(dst) = op.dst {
-                if dst.class != RegClass::Ctrl {
-                    op.dst = Some(mapping[&dst]);
-                }
-            }
-            for src in &mut op.srcs {
-                if src.class != RegClass::Ctrl {
-                    *src = mapping[src];
-                }
-            }
+            op.dst.iter_mut().for_each(rename);
+            op.srcs.iter_mut().for_each(rename);
         }
     }
 
+    let mapping = CLASSES
+        .iter()
+        .flat_map(|&class| regs.ids_of(class).map(move |id| (class, id)))
+        .filter(|&(_, id)| phys_of[id] != UNMAPPED)
+        .map(|(class, id)| (regs.reg(class, id), Reg::new(class, phys_of[id])))
+        .collect();
     Ok((
         out,
         Allocation {
@@ -130,13 +196,15 @@ pub fn allocate(
 }
 
 /// Compute a conservative live interval (over a linearisation of the blocks
-/// in program order) for every virtual register.
+/// in program order) for every virtual register, indexed by dense id
+/// (`None` for ids the program never touches).  Control registers are
+/// numbered and tracked too; the allocator simply never reads theirs.
 ///
 /// The interval of a register spans from its first definition/use to its last
 /// use, extended to cover every block in which the register is live-in or
 /// live-out (which correctly handles values that live around loop back
 /// edges).
-fn live_intervals(program: &Program) -> HashMap<Reg, (usize, usize)> {
+fn live_intervals(program: &Program, regs: &RegIndex) -> Vec<Option<(usize, usize)>> {
     // Block boundaries in the linearisation.
     let mut block_start = Vec::with_capacity(program.blocks.len());
     let mut block_end = Vec::with_capacity(program.blocks.len());
@@ -149,95 +217,86 @@ fn live_intervals(program: &Program) -> HashMap<Reg, (usize, usize)> {
 
     // Per-block use/def sets (uses before defs).
     let nblocks = program.blocks.len();
-    let mut uses: Vec<HashSet<Reg>> = vec![HashSet::new(); nblocks];
-    let mut defs: Vec<HashSet<Reg>> = vec![HashSet::new(); nblocks];
+    let width = regs.len();
+    let mut uses = BitRows::new(nblocks, width);
+    let mut defs = BitRows::new(nblocks, width);
     for (b, block) in program.blocks.iter().enumerate() {
         for op in &block.ops {
             for r in op.reads() {
-                if r.class != RegClass::Ctrl && !defs[b].contains(&r) {
-                    uses[b].insert(r);
+                if !defs.contains(b, regs.id(r)) {
+                    uses.set(b, regs.id(r));
                 }
             }
             if let Some(d) = op.writes() {
-                if d.class != RegClass::Ctrl {
-                    defs[b].insert(d);
-                }
+                defs.set(b, regs.id(d));
             }
         }
     }
 
-    // CFG successors.
+    // CFG successors (at most a branch target and a fall-through).
     let labels = program.label_map();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
+    let mut succs: Vec<[Option<usize>; 2]> = vec![[None; 2]; nblocks];
     for (b, block) in program.blocks.iter().enumerate() {
         let mut falls_through = true;
         if let Some(term) = block.ops.last() {
             if term.opcode.is_branch() {
-                if let Some(target) = &term.target {
-                    if let Some(&t) = labels.get(target.as_str()) {
-                        succs[b].push(t);
-                    }
-                }
+                succs[b][0] = term.target.as_deref().and_then(|t| labels.get(t).copied());
                 falls_through = term.opcode.is_cond_branch();
             } else if term.opcode == vmv_isa::Opcode::Halt {
                 falls_through = false;
             }
         }
         if falls_through && b + 1 < nblocks {
-            succs[b].push(b + 1);
+            succs[b][1] = Some(b + 1);
         }
     }
 
-    // Iterative backward liveness.
-    let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); nblocks];
-    let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); nblocks];
+    // Iterative backward liveness over the bitsets:
+    // out = ∪ in[succ], in = uses ∪ (out \ defs).
+    let mut live_in = BitRows::new(nblocks, width);
+    let mut live_out = BitRows::new(nblocks, width);
+    let mut out = vec![0u64; live_in.words];
     let mut changed = true;
     while changed {
         changed = false;
         for b in (0..nblocks).rev() {
-            let mut out: HashSet<Reg> = HashSet::new();
-            for &s in &succs[b] {
-                out.extend(live_in[s].iter().copied());
+            out.fill(0);
+            for s in succs[b].iter().flatten() {
+                for (o, &i) in out.iter_mut().zip(live_in.row(*s)) {
+                    *o |= i;
+                }
             }
-            let mut inn: HashSet<Reg> = out.difference(&defs[b]).copied().collect();
-            inn.extend(uses[b].iter().copied());
-            if inn != live_in[b] || out != live_out[b] {
-                live_in[b] = inn;
-                live_out[b] = out;
-                changed = true;
+            let inn = live_in.row_mut(b);
+            for (w, slot) in inn.iter_mut().enumerate() {
+                let next = uses.row(b)[w] | (out[w] & !defs.row(b)[w]);
+                changed |= *slot != next;
+                *slot = next;
             }
+            let prev_out = live_out.row_mut(b);
+            changed |= *prev_out != *out;
+            prev_out.copy_from_slice(&out);
         }
     }
 
     // Build intervals.
-    let mut intervals: HashMap<Reg, (usize, usize)> = HashMap::new();
-    let touch = |r: Reg, at: usize, map: &mut HashMap<Reg, (usize, usize)>| {
-        map.entry(r)
-            .and_modify(|iv| {
-                iv.0 = iv.0.min(at);
-                iv.1 = iv.1.max(at);
-            })
-            .or_insert((at, at));
+    let mut intervals: Vec<Option<(usize, usize)>> = vec![None; width];
+    let mut touch = |id: usize, at: usize| {
+        let iv = intervals[id].get_or_insert((at, at));
+        iv.0 = iv.0.min(at);
+        iv.1 = iv.1.max(at);
     };
     for (b, block) in program.blocks.iter().enumerate() {
         for (i, op) in block.ops.iter().enumerate() {
             let at = block_start[b] + i;
-            for r in op.reads() {
-                if r.class != RegClass::Ctrl {
-                    touch(r, at, &mut intervals);
-                }
-            }
-            if let Some(d) = op.writes() {
-                if d.class != RegClass::Ctrl {
-                    touch(d, at, &mut intervals);
-                }
+            for r in op.reads().chain(op.writes()) {
+                touch(regs.id(r), at);
             }
         }
-        for &r in &live_in[b] {
-            touch(r, block_start[b], &mut intervals);
+        for id in set_bits(live_in.row(b)) {
+            touch(id, block_start[b]);
         }
-        for &r in &live_out[b] {
-            touch(r, block_end[b], &mut intervals);
+        for id in set_bits(live_out.row(b)) {
+            touch(id, block_end[b]);
         }
     }
     intervals

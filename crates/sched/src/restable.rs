@@ -90,6 +90,13 @@ impl<'m> ReservationTable<'m> {
         }
     }
 
+    fn used(&self, cycle: u32, pool: Pool) -> usize {
+        self.usage
+            .get(cycle as usize)
+            .map(|u| u[pool_index(pool)])
+            .unwrap_or(0)
+    }
+
     /// Number of cycles an operation keeps its functional unit / memory port
     /// busy: the initiation occupancy of Fig. 3b.
     pub fn occupancy(&self, op: &Op) -> u32 {
@@ -98,58 +105,50 @@ impl<'m> ReservationTable<'m> {
 
     /// Can `op` be issued at `cycle` without oversubscribing any resource?
     pub fn can_place(&self, op: &Op, cycle: u32) -> bool {
-        let pool = unit_pool(op, self.machine);
-        let issue_cap = capacity(self.machine, Pool::Issue);
+        self.fits(unit_pool(op, self.machine), self.occupancy(op), cycle)
+    }
+
+    /// Can an operation drawing on `pool` for `occupancy` cycles issue at
+    /// `cycle`?  [`Self::can_place`] with the pool and occupancy already
+    /// resolved, for callers that precompute them per operation.
+    pub(crate) fn fits(&self, pool: Pool, occupancy: u32, cycle: u32) -> bool {
         let unit_cap = capacity(self.machine, pool);
         if unit_cap == 0 {
             return false;
         }
         // Issue slot in the issue cycle.
-        let issue_used = self
-            .usage
-            .get(cycle as usize)
-            .map(|u| u[pool_index(Pool::Issue)])
-            .unwrap_or(0);
-        if issue_used >= issue_cap {
+        if self.used(cycle, Pool::Issue) >= capacity(self.machine, Pool::Issue) {
             return false;
         }
         // Functional unit / port for the whole occupancy window.
-        let occ = self.occupancy(op);
-        for c in cycle..cycle + occ {
-            let used = self
-                .usage
-                .get(c as usize)
-                .map(|u| u[pool_index(pool)])
-                .unwrap_or(0);
-            if used >= unit_cap {
-                return false;
-            }
-        }
-        true
+        (cycle..cycle + occupancy).all(|c| self.used(c, pool) < unit_cap)
     }
 
     /// Reserve the resources for `op` issued at `cycle`.  Panics if the
     /// placement is infeasible (callers check with [`Self::can_place`]).
     pub fn place(&mut self, op: &Op, cycle: u32) {
+        let (pool, occupancy) = (unit_pool(op, self.machine), self.occupancy(op));
         assert!(
-            self.can_place(op, cycle),
+            self.fits(pool, occupancy, cycle),
             "resource oversubscription placing {op}"
         );
-        let pool = unit_pool(op, self.machine);
-        let occ = self.occupancy(op);
-        self.ensure((cycle + occ) as usize);
+        self.reserve(pool, occupancy, cycle);
+    }
+
+    /// Reserve an issue slot at `cycle` and `pool` for `occupancy` cycles.
+    /// Callers check with [`Self::fits`] first.
+    pub(crate) fn reserve(&mut self, pool: Pool, occupancy: u32, cycle: u32) {
+        debug_assert!(self.fits(pool, occupancy, cycle));
+        self.ensure((cycle + occupancy) as usize);
         self.usage[cycle as usize][pool_index(Pool::Issue)] += 1;
-        for c in cycle..cycle + occ {
+        for c in cycle..cycle + occupancy {
             self.usage[c as usize][pool_index(pool)] += 1;
         }
     }
 
     /// Number of operations issued in `cycle` (used by tests).
     pub fn issued_in(&self, cycle: u32) -> usize {
-        self.usage
-            .get(cycle as usize)
-            .map(|u| u[pool_index(Pool::Issue)])
-            .unwrap_or(0)
+        self.used(cycle, Pool::Issue)
     }
 }
 

@@ -309,16 +309,18 @@ pub fn run_sweep(
         .unwrap_or_else(|panic| Err(panic_message(&panic)))
     };
 
+    // Each path records `JobQueueWait` once per job before running its
+    // group: the pool the real time since the job list was built, the
+    // inline path zero, since nothing there ever waits in a queue.
+    let queue_wait = |group: &[usize], ns: u64| {
+        for _ in group {
+            vmv_obs::record_ns(SpanKind::JobQueueWait, ns);
+        }
+    };
     // One group body shared by the inline and pooled paths, so the two can
     // never diverge in cache interaction, record layout or panic handling.
     // Returns one result per job of the group, in group (= job) order.
     let run_group = |group: &[usize]| -> Vec<(usize, Result<RunRecord, String>)> {
-        for _ in group {
-            vmv_obs::record_ns(
-                SpanKind::JobQueueWait,
-                queued_at.elapsed().as_nanos() as u64,
-            );
-        }
         // One cache lookup per job (not per group) keeps the hit/miss
         // accounting identical to per-job dispatch: the first lookup of a
         // key is the miss that schedules, every other job is a hit.
@@ -437,6 +439,7 @@ pub fn run_sweep(
         let mut busy_ns = 0u64;
         for group in &groups {
             let group_start = vmv_obs::enabled().then(Instant::now);
+            queue_wait(group, 0);
             for (i, result) in run_group(group) {
                 slots[i] = Some(result);
             }
@@ -495,7 +498,7 @@ pub fn run_sweep(
         // Shadow the shared state as references: the worker closures are
         // `move` (each owns its `worker` index) but must share everything
         // else, and references are `Copy`.
-        let run_group = &run_group;
+        let (run_group, queue_wait) = (&run_group, &queue_wait);
         let (jobs, groups, slots, next, abort) = (&jobs, &groups, &slots, &next, &abort);
         for worker in 0..opts.effective_workers() {
             scope.spawn(move || {
@@ -511,6 +514,7 @@ pub fn run_sweep(
                     }
                     let group = &groups[g];
                     let group_start = vmv_obs::enabled().then(Instant::now);
+                    queue_wait(group, queued_at.elapsed().as_nanos() as u64);
                     for (i, result) in run_group(group) {
                         *slots[i].lock().unwrap() = Some(result);
                     }

@@ -100,7 +100,8 @@ fn verify_op(
 ) {
     let layout = &program.layout;
     let total = program.total_slots() as u16;
-    let mn = op.opcode.mnemonic();
+    // The mnemonic is rendered only when a diagnostic is emitted.
+    let mn = Mnemonic(op.opcode);
     let at = || loc(bid, bundle);
 
     // Destination slot: NO_SLOT exactly when the operation writes nothing,
@@ -128,28 +129,27 @@ fn verify_op(
     }
 
     // Read slots: sources in order, then the implicit VL/VS reads.
-    let mut expect: Vec<u16> = Vec::with_capacity(op.read_slots().len());
     let mut sources_ok = true;
     for &src in op.srcs() {
-        match layout.slot_of(src) {
-            Some(s) => expect.push(s),
-            None => {
-                sources_ok = false;
-                diags.push(Diagnostic::error(
-                    Check::Layout,
-                    at(),
-                    format!("'{mn}' source {src} has no slot in the layout"),
-                ));
-            }
+        if layout.slot_of(src).is_none() {
+            sources_ok = false;
+            diags.push(Diagnostic::error(
+                Check::Layout,
+                at(),
+                format!("'{mn}' source {src} has no slot in the layout"),
+            ));
         }
     }
-    if op.opcode.reads_vl() {
-        expect.push(layout.vl_slot());
-    }
-    if op.opcode.reads_vs() {
-        expect.push(layout.vs_slot());
-    }
-    if sources_ok && op.read_slots() != expect.as_slice() {
+    let expect = || {
+        let vl = op.opcode.reads_vl().then(|| layout.vl_slot());
+        let vs = op.opcode.reads_vs().then(|| layout.vs_slot());
+        op.srcs()
+            .iter()
+            .filter_map(|&src| layout.slot_of(src))
+            .chain(vl)
+            .chain(vs)
+    };
+    if sources_ok && !op.read_slots().iter().copied().eq(expect()) {
         diags.push(Diagnostic::error(
             Check::Layout,
             at(),
@@ -157,7 +157,7 @@ fn verify_op(
                 "'{mn}' read slots {:?} do not match the re-derived {:?} \
                  (sources plus implicit VL/VS reads)",
                 op.read_slots(),
-                expect
+                expect().collect::<Vec<_>>()
             ),
         ));
     }
@@ -246,6 +246,16 @@ fn verify_op(
                 program.blocks.len()
             ),
         ));
+    }
+}
+
+/// An opcode whose mnemonic is formatted on demand: `Opcode::mnemonic`
+/// allocates, and a certified program never needs the text.
+struct Mnemonic(vmv_isa::Opcode);
+
+impl std::fmt::Display for Mnemonic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0.mnemonic())
     }
 }
 

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use vmv_isa::{FuClass, Op, Opcode, Reg, RegClass};
+use vmv_isa::{FuClass, LatencyDescriptor, Op, Opcode, Reg, RegClass, RegIndex};
 use vmv_machine::MachineConfig;
 use vmv_sched::{ScheduledBlock, ScheduledProgram};
 
@@ -36,8 +36,13 @@ fn loc(label: &str, bundle: usize) -> String {
 /// latency descriptor and the §3.3 chaining rule (the same obligations
 /// `vmv_sched::ddg::raw_latency` encodes — recomputed here so the checker
 /// does not trust the scheduler's own edge set).
-fn raw_latency(producer: &Op, consumer: &Op, reg: Reg, machine: &MachineConfig) -> u32 {
-    let desc = machine.latency_descriptor(producer);
+fn raw_latency(
+    producer: &Op,
+    desc: &LatencyDescriptor,
+    consumer: &Op,
+    reg: Reg,
+    machine: &MachineConfig,
+) -> u32 {
     let vector_chain = machine.chaining
         && reg.class == RegClass::Vec
         && producer.opcode.is_vector_op()
@@ -63,6 +68,12 @@ fn verify_block(
         .flat_map(|(c, bundle)| bundle.iter().map(move |op| (c, op)))
         .collect();
     let label = block.label.as_str();
+    // Each operation's latency descriptor, in traversal order: it bounds
+    // the RAW distance to its consumers and its occupancy window.
+    let descs: Vec<LatencyDescriptor> = flat
+        .iter()
+        .map(|(_, op)| machine.latency_descriptor(op))
+        .collect();
 
     // Terminator discipline: the engines apply branches and `halt` at
     // block end, and a legally scheduled block keeps its terminator
@@ -82,14 +93,16 @@ fn verify_block(
         }
     }
 
-    // Dependence re-derivation over the traversal order.
-    let mut last_writer: HashMap<Reg, usize> = HashMap::new();
+    // Dependence re-derivation over the traversal order, with the last
+    // writer of every register in a dense table over the block's registers.
+    let regs = RegIndex::covering(flat.iter().map(|&(_, op)| op));
+    let mut last_writer: Vec<Option<usize>> = vec![None; regs.len()];
     let mut last_store: Option<usize> = None;
     for (i, &(c_i, op)) in flat.iter().enumerate() {
-        for r in &op.reads() {
-            if let Some(&w) = last_writer.get(r) {
+        for r in op.reads() {
+            if let Some(w) = last_writer[regs.id(r)] {
                 let (c_w, producer) = flat[w];
-                let need = raw_latency(producer, op, *r, machine);
+                let need = raw_latency(producer, &descs[w], op, r, machine);
                 let dist = (c_i - c_w) as u32;
                 if dist == 0 {
                     diags.push(Diagnostic::error(
@@ -114,7 +127,7 @@ fn verify_block(
             // duplicate-write fault class.  (WAR needs zero cycles and the
             // traversal order already witnesses the read first, so it can
             // never be violated here.)
-            if let Some(&w) = last_writer.get(&dst) {
+            if let Some(w) = last_writer[regs.id(dst)] {
                 let (c_w, prev) = flat[w];
                 if c_i == c_w {
                     diags.push(Diagnostic::error(
@@ -169,11 +182,11 @@ fn verify_block(
             }
         }
         if let Some(dst) = op.writes() {
-            last_writer.insert(dst, i);
+            last_writer[regs.id(dst)] = Some(i);
         }
     }
 
-    verify_resources(block, machine, diags);
+    verify_resources(block, &descs, machine, diags);
 }
 
 /// Unit-pool identity mirrors the reservation table: µSIMD operations
@@ -203,7 +216,14 @@ const POOL_NAMES: [&str; 5] = [
     "L2 vector-cache port",
 ];
 
-fn verify_resources(block: &ScheduledBlock, machine: &MachineConfig, diags: &mut Vec<Diagnostic>) {
+/// Resource accounting; `descs` holds every operation's latency descriptor
+/// in traversal order.
+fn verify_resources(
+    block: &ScheduledBlock,
+    descs: &[LatencyDescriptor],
+    machine: &MachineConfig,
+    diags: &mut Vec<Diagnostic>,
+) {
     let label = block.label.as_str();
     let caps = [
         machine.int_units,
@@ -214,13 +234,15 @@ fn verify_resources(block: &ScheduledBlock, machine: &MachineConfig, diags: &mut
     ];
     // Occupancy windows can extend past the last bundle; size accordingly.
     let mut horizon = block.bundles.len();
+    let mut flat = descs.iter();
     for (c, bundle) in block.bundles.iter().enumerate() {
-        for op in bundle {
-            horizon = horizon.max(c + machine.latency_descriptor(op).occupancy() as usize);
+        for desc in flat.by_ref().take(bundle.len()) {
+            horizon = horizon.max(c + desc.occupancy() as usize);
         }
     }
     let mut usage = vec![[0usize; 5]; horizon];
 
+    let mut flat = descs.iter();
     for (c, bundle) in block.bundles.iter().enumerate() {
         if bundle.len() > machine.issue_width {
             diags.push(Diagnostic::error(
@@ -233,7 +255,7 @@ fn verify_resources(block: &ScheduledBlock, machine: &MachineConfig, diags: &mut
                 ),
             ));
         }
-        for op in bundle {
+        for (op, desc) in bundle.iter().zip(flat.by_ref()) {
             if !machine.supports_op(op.opcode) {
                 diags.push(Diagnostic::error(
                     Check::Resource,
@@ -254,7 +276,7 @@ fn verify_resources(block: &ScheduledBlock, machine: &MachineConfig, diags: &mut
                 ));
                 continue;
             }
-            let occupancy = machine.latency_descriptor(op).occupancy() as usize;
+            let occupancy = desc.occupancy() as usize;
             for slot in &mut usage[c..c + occupancy.max(1)] {
                 slot[pool] += 1;
             }
