@@ -163,11 +163,11 @@ pub enum ServedBy {
 
 /// The timing-relevant *events* of one access, captured from the hierarchy
 /// that simulated it.  Tag behaviour depends only on the access stream and
-/// the cache geometry — never on the latency parameters — so any
-/// [`MemoryHierarchy::tag_equivalent`] hierarchy can price the echoed
-/// events against its own latencies ([`MemoryHierarchy::apply_echo`])
-/// without walking its own tags, and land on exactly the timing and
-/// [`MemStats`] the real access would have produced.
+/// the cache geometry — never on the latency parameters — so a
+/// [`FollowerPricer`] can price the echoed events against the latencies of
+/// any [`MemoryHierarchy::tag_equivalent`] hierarchy without walking its
+/// tags, and land on exactly the timing and [`MemStats`] the real access
+/// would have produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessEcho {
     Scalar {
@@ -686,25 +686,15 @@ impl MemoryHierarchy {
     }
 
     /// True when `other` produces the *same tag behaviour* as `self` on
-    /// every access stream: same model, cache geometry and port width.
-    /// Latency parameters are free to differ — they only scale the pricing
-    /// — so an [`AccessEcho`] captured on one hierarchy can be
-    /// [`applied`](Self::apply_echo) to any tag-equivalent other.
+    /// every access stream ([`tag_equivalent_configs`]).  Latency
+    /// parameters are free to differ — they only scale the pricing — so an
+    /// [`AccessEcho`] captured on one hierarchy can be priced for any
+    /// tag-equivalent other by a [`FollowerPricer`].
     pub fn tag_equivalent(&self, other: &Self) -> bool {
         tag_equivalent_configs(
             (self.model, &self.params, self.port_elems),
             (other.model, &other.params, other.port_elems),
         )
-    }
-
-    /// Price an echoed access against this hierarchy's latency parameters,
-    /// updating [`MemStats`] exactly as the real access would have.  The
-    /// echo must come from a [`tag_equivalent`](Self::tag_equivalent)
-    /// hierarchy stepped through the same access stream; this hierarchy's
-    /// own tags are *not* maintained, so after the first `apply_echo` it
-    /// must only ever be priced through further echoes.
-    pub fn apply_echo(&mut self, echo: &AccessEcho) -> AccessTiming {
-        price_echo(&self.params, self.port_elems, &mut self.stats, echo)
     }
 
     /// Statistics of the three cache levels (L1, L2, L3).
@@ -715,150 +705,155 @@ impl MemoryHierarchy {
 
 /// [`MemoryHierarchy::tag_equivalent`] over raw `(model, params, port)`
 /// configurations, for callers that classify variants *before* paying for
-/// hierarchy construction.
+/// hierarchy construction: same model and port width, and for `Realistic`
+/// the same geometry of all three cache levels.  A `Perfect` hierarchy
+/// never reads its tags, so its geometry is irrelevant.
 pub fn tag_equivalent_configs(
     (model_a, a, port_a): (MemoryModel, &MemoryParams, u32),
     (model_b, b, port_b): (MemoryModel, &MemoryParams, u32),
 ) -> bool {
     model_a == model_b
         && port_a.max(1) == port_b.max(1)
-        && a.l1_size == b.l1_size
-        && a.l1_assoc == b.l1_assoc
-        && a.l1_line == b.l1_line
-        && a.l2_size == b.l2_size
-        && a.l2_assoc == b.l2_assoc
-        && a.l2_line == b.l2_line
-        && a.l2_banks == b.l2_banks
-        && a.l3_size == b.l3_size
-        && a.l3_assoc == b.l3_assoc
-        && a.l3_line == b.l3_line
+        && (model_a == MemoryModel::Perfect
+            || (a.l1_size == b.l1_size
+                && a.l1_assoc == b.l1_assoc
+                && a.l1_line == b.l1_line
+                && a.l2_size == b.l2_size
+                && a.l2_assoc == b.l2_assoc
+                && a.l2_line == b.l2_line
+                && a.l2_banks == b.l2_banks
+                && a.l3_size == b.l3_size
+                && a.l3_assoc == b.l3_assoc
+                && a.l3_line == b.l3_line))
 }
 
-/// A latency-parameters-only echo pricer: prices [`AccessEcho`]es exactly
-/// like [`MemoryHierarchy::apply_echo`] but carries **no tag state** — it
-/// costs nothing to construct, where a full hierarchy allocates and zeroes
-/// every cache level's tag arrays.  Batched trace replay builds one real
-/// hierarchy per tag-equivalence class and one pricer per follower.
+/// True when two configurations time *every* access stream identically:
+/// tag-equivalent, and equal in every latency the model can reach.  A
+/// `Perfect` hierarchy never leaves the L1 (scalar) or the L2 (vector), so
+/// only `l1_latency` and `l2_latency` count there; a `Realistic` one needs
+/// all four.  Batched replay walks one lane per timing-equivalence class.
+pub fn timing_equivalent_configs(
+    (model_a, a, port_a): (MemoryModel, &MemoryParams, u32),
+    (model_b, b, port_b): (MemoryModel, &MemoryParams, u32),
+) -> bool {
+    tag_equivalent_configs((model_a, a, port_a), (model_b, b, port_b))
+        && a.l1_latency == b.l1_latency
+        && a.l2_latency == b.l2_latency
+        && (model_a == MemoryModel::Perfect
+            || (a.l3_latency == b.l3_latency && a.mem_latency == b.mem_latency))
+}
+
+/// The latency-only pricer of one tag-equivalence class's *followers*: the
+/// variants [`tag_equivalent_configs`] to the class leader that differ only
+/// in latencies.  Followers see the leader's [`AccessEcho`] stream, so every
+/// event count of their [`MemStats`] (accesses, hits, misses, fetches,
+/// invalidations, stride classes) equals the leader's; only the latency of
+/// each access and `total_stall_cycles` differ.  The pricer therefore keeps
+/// no tag state and no statistics beyond one stall sum per follower: four
+/// latency arrays and the sums, struct-of-arrays, so pricing an echo is one
+/// tight pass over the followers.
 #[derive(Debug, Clone)]
-pub struct EchoPricer {
-    params: MemoryParams,
+pub struct FollowerPricer {
+    /// Width of the class's L2 vector port in 64-bit elements.
     port_elems: u32,
-    pub stats: MemStats,
+    l1: Vec<u32>,
+    l2: Vec<u32>,
+    l3: Vec<u32>,
+    mem: Vec<u32>,
+    stalls: Vec<u64>,
 }
 
-impl EchoPricer {
-    pub fn new(params: MemoryParams, l2_port_elems: u32) -> Self {
-        EchoPricer {
-            params,
+impl FollowerPricer {
+    /// An empty pricer for a class whose L2 vector port is `l2_port_elems`
+    /// elements wide.
+    pub fn new(l2_port_elems: u32) -> Self {
+        FollowerPricer {
             port_elems: l2_port_elems.max(1),
-            stats: MemStats::default(),
+            l1: Vec::new(),
+            l2: Vec::new(),
+            l3: Vec::new(),
+            mem: Vec::new(),
+            stalls: Vec::new(),
         }
     }
 
-    /// Construct a pricer straight from a machine configuration.
-    pub fn for_machine(machine: &vmv_machine::MachineConfig) -> Self {
-        Self::new(machine.memory, machine.l2_port_elems)
+    /// Add a follower priced against `params`' latencies.
+    pub fn push(&mut self, params: &MemoryParams) {
+        self.l1.push(params.l1_latency);
+        self.l2.push(params.l2_latency);
+        self.l3.push(params.l3_latency);
+        self.mem.push(params.mem_latency);
+        self.stalls.push(0);
     }
 
-    /// Price an echoed access; see [`MemoryHierarchy::apply_echo`].
-    pub fn apply_echo(&mut self, echo: &AccessEcho) -> AccessTiming {
-        price_echo(&self.params, self.port_elems, &mut self.stats, echo)
+    /// Number of followers.
+    pub fn len(&self) -> usize {
+        self.stalls.len()
     }
-}
 
-/// The one shared echo-pricing rule behind [`MemoryHierarchy::apply_echo`]
-/// and [`EchoPricer::apply_echo`].
-fn price_echo(
-    params: &MemoryParams,
-    port_elems: u32,
-    stats: &mut MemStats,
-    echo: &AccessEcho,
-) -> AccessTiming {
-    match *echo {
-        AccessEcho::Scalar {
-            kind,
-            first,
-            second,
-        } => {
-            match kind {
-                AccessKind::Load => stats.scalar_loads += 1,
-                AccessKind::Store => stats.scalar_stores += 1,
+    pub fn is_empty(&self) -> bool {
+        self.stalls.is_empty()
+    }
+
+    /// Price one echoed access for every follower: `latency[i]` receives
+    /// follower `i`'s latency, and its stall against the compiler's
+    /// assumption joins its stall sum.  The echo must come from the class
+    /// leader stepped through the same access stream.
+    pub fn price(&mut self, echo: &AccessEcho, latency: &mut [u64]) {
+        let n = self.stalls.len();
+        assert_eq!(latency.len(), n, "one latency slot per follower");
+        let (l1, l2, l3, mem) = (&self.l1[..n], &self.l2[..n], &self.l3[..n], &self.mem[..n]);
+        let stalls = &mut self.stalls[..n];
+        match *echo {
+            AccessEcho::Scalar { first, second, .. } => {
+                // Latency below the L1 of a line served by `level`.
+                let below = |level: ServedBy| match level {
+                    ServedBy::L1 => None,
+                    ServedBy::L2 => Some(l2),
+                    ServedBy::L3 => Some(l3),
+                    ServedBy::Mem => Some(mem),
+                };
+                let (first, second) = (below(first), second.map(below));
+                for i in 0..n {
+                    let line = |below: Option<&[u32]>| match below {
+                        None => l1[i],
+                        Some(below) => l1[i] + below[i],
+                    };
+                    let mut lat = line(first);
+                    if let Some(second) = second {
+                        lat = lat.max(line(second));
+                    }
+                    // The compiler schedules scalar accesses as L1 hits.
+                    stalls[i] += lat.saturating_sub(l1[i]) as u64;
+                    latency[i] = lat as u64;
+                }
             }
-            let mut latency = price_echo_line(params, stats, first);
-            if let Some(served) = second {
-                latency = latency.max(price_echo_line(params, stats, served));
-            }
-            let stall = latency.saturating_sub(params.l1_latency);
-            stats.total_stall_cycles += stall as u64;
-            AccessTiming {
-                latency,
-                stall_cycles: stall,
-            }
-        }
-        AccessEcho::Vector {
-            kind,
-            unit_stride,
-            elems,
-            transfer_cycles,
-            l3_fetches,
-            mem_fetches,
-            invalidations,
-        } => {
-            match kind {
-                AccessKind::Load => stats.vector_loads += 1,
-                AccessKind::Store => stats.vector_stores += 1,
-            }
-            if unit_stride {
-                stats.unit_stride_vector_accesses += 1;
-            } else {
-                stats.strided_vector_accesses += 1;
-            }
-            stats.coherence_invalidations += invalidations;
-            if l3_fetches + mem_fetches > 0 {
-                stats.l2_misses += 1;
-            } else {
-                stats.l2_hits += 1;
-            }
-            stats.l3_hits += l3_fetches as u64;
-            stats.l3_misses += mem_fetches as u64;
-            let latency = params.l2_latency + transfer_cycles - 1
-                + l3_fetches * params.l3_latency
-                + mem_fetches * params.mem_latency;
-            // The compiler schedules vector accesses as stride-one L2 hits.
-            let scheduled = params.l2_latency + elems.div_ceil(port_elems.max(1)).saturating_sub(1);
-            let stall = latency.saturating_sub(scheduled);
-            stats.total_stall_cycles += stall as u64;
-            AccessTiming {
-                latency,
-                stall_cycles: stall,
+            AccessEcho::Vector {
+                elems,
+                transfer_cycles,
+                l3_fetches,
+                mem_fetches,
+                ..
+            } => {
+                // The compiler schedules vector accesses as stride-one L2
+                // hits: `l2 + sched_tail`.
+                let sched_tail = elems.div_ceil(self.port_elems).saturating_sub(1);
+                for i in 0..n {
+                    let lat =
+                        l2[i] + transfer_cycles - 1 + l3_fetches * l3[i] + mem_fetches * mem[i];
+                    stalls[i] += lat.saturating_sub(l2[i] + sched_tail) as u64;
+                    latency[i] = lat as u64;
+                }
             }
         }
     }
-}
 
-/// Stats and latency of one echoed scalar-line lookup.
-fn price_echo_line(params: &MemoryParams, stats: &mut MemStats, served: ServedBy) -> u32 {
-    match served {
-        ServedBy::L1 => {
-            stats.l1_hits += 1;
-            params.l1_latency
-        }
-        ServedBy::L2 => {
-            stats.l1_misses += 1;
-            stats.l2_hits += 1;
-            params.l1_latency + params.l2_latency
-        }
-        ServedBy::L3 => {
-            stats.l1_misses += 1;
-            stats.l2_misses += 1;
-            stats.l3_hits += 1;
-            params.l1_latency + params.l3_latency
-        }
-        ServedBy::Mem => {
-            stats.l1_misses += 1;
-            stats.l2_misses += 1;
-            stats.l3_misses += 1;
-            params.l1_latency + params.mem_latency
+    /// Follower `i`'s statistics: the class leader's event counts with the
+    /// follower's own stall sum.
+    pub fn stats(&self, i: usize, leader: &MemStats) -> MemStats {
+        MemStats {
+            total_stall_cycles: self.stalls[i],
+            ..*leader
         }
     }
 }
@@ -1031,9 +1026,11 @@ mod tests {
 
     #[test]
     fn echo_pricing_matches_real_accesses_on_tag_equivalent_followers() {
-        // A follower differing ONLY in latency parameters must land on
-        // exactly the timing and stats of a real access when priced through
-        // the leader's echoes — for scalar and vector accesses, hits and
+        // Followers differing from the leader ONLY in latency parameters
+        // (and, under Perfect, in geometry) must land on exactly the timing
+        // of a real access when priced from the leader's echoes, and on the
+        // real hierarchy's stats when given the leader's event counts with
+        // their own stall sum — for scalar and vector accesses, hits and
         // misses, straddles, coherence invalidations and irregular strides.
         let slow = MemoryParams {
             l1_latency: 3,
@@ -1042,12 +1039,31 @@ mod tests {
             mem_latency: 900,
             ..MemoryParams::default()
         };
+        let fast = MemoryParams {
+            l3_latency: 7,
+            mem_latency: 60,
+            ..MemoryParams::default()
+        };
+        let reshaped = MemoryParams {
+            l1_size: 8 * 1024,
+            l2_line: 128,
+            l3_size: 2 << 20,
+            ..slow
+        };
         for model in [MemoryModel::Perfect, MemoryModel::Realistic] {
             let mut leader = MemoryHierarchy::new(model, MemoryParams::default(), 4);
-            let mut echoed = MemoryHierarchy::new(model, slow, 4);
-            let mut pricer = EchoPricer::new(slow, 4);
-            let mut real = echoed.clone();
-            assert!(leader.tag_equivalent(&echoed));
+            let mut follower_params = vec![slow, fast, MemoryParams::default()];
+            if model == MemoryModel::Perfect {
+                follower_params.push(reshaped);
+            }
+            let mut pricer = FollowerPricer::new(4);
+            let mut real = Vec::new();
+            for params in &follower_params {
+                pricer.push(params);
+                real.push(MemoryHierarchy::new(model, *params, 4));
+                assert!(leader.tag_equivalent(real.last().unwrap()));
+            }
+            let mut lat = vec![0u64; pricer.len()];
             let mut memo = SharedAccessScratch::new();
 
             // Scalar mix: cold miss, warm hit, line straddle, store.
@@ -1058,10 +1074,11 @@ mod tests {
                 (0x2000, 8, AccessKind::Store),
             ] {
                 let (_, echo) = leader.scalar_access_echoed(addr, size, kind);
-                let fast = echoed.apply_echo(&echo);
-                let slow = real.scalar_access(addr, size, kind);
-                assert_eq!(fast, slow, "{model:?} scalar {addr:#x}");
-                assert_eq!(pricer.apply_echo(&echo), slow);
+                pricer.price(&echo, &mut lat);
+                for (i, h) in real.iter_mut().enumerate() {
+                    let t = h.scalar_access(addr, size, kind);
+                    assert_eq!(lat[i], t.latency as u64, "{model:?} scalar {addr:#x} #{i}");
+                }
             }
             // Vector mix: cold, warm, strided, irregular, store over a
             // dirty scalar line (coherence).
@@ -1073,16 +1090,206 @@ mod tests {
                 (0x2000, 8, 8, AccessKind::Store),
             ] {
                 let (_, echo) = leader.vector_access_echoed(base, stride, elems, kind, &mut memo);
-                let fast = echoed.apply_echo(&echo);
-                let slow = real.vector_access(base, stride, elems, kind);
-                assert_eq!(fast, slow, "{model:?} vector {base:#x} stride {stride}");
-                assert_eq!(pricer.apply_echo(&echo), slow);
+                pricer.price(&echo, &mut lat);
+                for (i, h) in real.iter_mut().enumerate() {
+                    let t = h.vector_access(base, stride, elems, kind);
+                    assert_eq!(
+                        lat[i], t.latency as u64,
+                        "{model:?} vector {base:#x} stride {stride} #{i}"
+                    );
+                }
             }
-            assert_eq!(echoed.stats, real.stats, "{model:?} stats must agree");
-            assert_eq!(
-                pricer.stats, real.stats,
-                "{model:?} pricer stats must agree"
+            for (i, h) in real.iter().enumerate() {
+                assert_eq!(
+                    pricer.stats(i, &leader.stats),
+                    h.stats,
+                    "{model:?} follower #{i} stats must agree"
+                );
+            }
+        }
+    }
+
+    /// The default parameters with one field changed at a time:
+    /// `(field, whether it is a latency, params)`.
+    fn perturbations() -> Vec<(&'static str, bool, MemoryParams)> {
+        let d = MemoryParams::default();
+        vec![
+            (
+                "l1_size",
+                false,
+                MemoryParams {
+                    l1_size: d.l1_size * 2,
+                    ..d
+                },
+            ),
+            (
+                "l1_assoc",
+                false,
+                MemoryParams {
+                    l1_assoc: d.l1_assoc * 2,
+                    ..d
+                },
+            ),
+            (
+                "l1_line",
+                false,
+                MemoryParams {
+                    l1_line: d.l1_line * 2,
+                    ..d
+                },
+            ),
+            (
+                "l2_size",
+                false,
+                MemoryParams {
+                    l2_size: d.l2_size * 2,
+                    ..d
+                },
+            ),
+            (
+                "l2_assoc",
+                false,
+                MemoryParams {
+                    l2_assoc: d.l2_assoc * 2,
+                    ..d
+                },
+            ),
+            (
+                "l2_line",
+                false,
+                MemoryParams {
+                    l2_line: d.l2_line * 2,
+                    ..d
+                },
+            ),
+            (
+                "l2_banks",
+                false,
+                MemoryParams {
+                    l2_banks: d.l2_banks * 2,
+                    ..d
+                },
+            ),
+            (
+                "l3_size",
+                false,
+                MemoryParams {
+                    l3_size: d.l3_size * 2,
+                    ..d
+                },
+            ),
+            (
+                "l3_assoc",
+                false,
+                MemoryParams {
+                    l3_assoc: d.l3_assoc * 2,
+                    ..d
+                },
+            ),
+            (
+                "l3_line",
+                false,
+                MemoryParams {
+                    l3_line: d.l3_line * 2,
+                    ..d
+                },
+            ),
+            (
+                "l1_latency",
+                true,
+                MemoryParams {
+                    l1_latency: d.l1_latency + 1,
+                    ..d
+                },
+            ),
+            (
+                "l2_latency",
+                true,
+                MemoryParams {
+                    l2_latency: d.l2_latency + 1,
+                    ..d
+                },
+            ),
+            (
+                "l3_latency",
+                true,
+                MemoryParams {
+                    l3_latency: d.l3_latency + 1,
+                    ..d
+                },
+            ),
+            (
+                "mem_latency",
+                true,
+                MemoryParams {
+                    mem_latency: d.mem_latency + 1,
+                    ..d
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn perfect_equivalence_ignores_geometry_and_unreachable_latencies() {
+        let d = MemoryParams::default();
+        let perfect = MemoryModel::Perfect;
+        for (field, _, p) in perturbations() {
+            assert!(
+                tag_equivalent_configs((perfect, &d, 4), (perfect, &p, 4)),
+                "Perfect tag classes ignore {field}"
             );
+            // A Perfect hierarchy never reaches the L3 or main memory.
+            let reachable = field == "l1_latency" || field == "l2_latency";
+            assert_eq!(
+                timing_equivalent_configs((perfect, &d, 4), (perfect, &p, 4)),
+                !reachable,
+                "Perfect timing equivalence and {field}"
+            );
+        }
+        // The port width shapes vector transfer time under every model.
+        assert!(!tag_equivalent_configs((perfect, &d, 4), (perfect, &d, 2)));
+        assert!(!timing_equivalent_configs(
+            (perfect, &d, 4),
+            (perfect, &d, 2)
+        ));
+    }
+
+    #[test]
+    fn realistic_equivalence_needs_every_field() {
+        let d = MemoryParams::default();
+        let realistic = MemoryModel::Realistic;
+        assert!(timing_equivalent_configs(
+            (realistic, &d, 4),
+            (realistic, &d, 4)
+        ));
+        for (field, is_latency, p) in perturbations() {
+            assert_eq!(
+                tag_equivalent_configs((realistic, &d, 4), (realistic, &p, 4)),
+                is_latency,
+                "Realistic tag classes and {field}"
+            );
+            assert!(
+                !timing_equivalent_configs((realistic, &d, 4), (realistic, &p, 4)),
+                "Realistic timing equivalence needs equal {field}"
+            );
+        }
+        assert!(!timing_equivalent_configs(
+            (realistic, &d, 4),
+            (realistic, &d, 2)
+        ));
+    }
+
+    #[test]
+    fn models_never_mix() {
+        let d = MemoryParams::default();
+        for p in std::iter::once(d).chain(perturbations().into_iter().map(|(_, _, p)| p)) {
+            for (a, b) in [
+                (MemoryModel::Perfect, MemoryModel::Realistic),
+                (MemoryModel::Realistic, MemoryModel::Perfect),
+            ] {
+                assert!(!tag_equivalent_configs((a, &d, 4), (b, &p, 4)));
+                assert!(!timing_equivalent_configs((a, &d, 4), (b, &p, 4)));
+            }
         }
     }
 

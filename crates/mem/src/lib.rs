@@ -17,8 +17,8 @@ pub mod vector_cache;
 
 pub use cache::{Cache, CacheStats, FillOutcome, LookupResult};
 pub use hierarchy::{
-    tag_equivalent_configs, AccessEcho, AccessKind, AccessTiming, EchoPricer, MemStats,
-    MemoryHierarchy, MemoryModel, ServedBy, SharedAccessScratch,
+    tag_equivalent_configs, timing_equivalent_configs, AccessEcho, AccessKind, AccessTiming,
+    FollowerPricer, MemStats, MemoryHierarchy, MemoryModel, ServedBy, SharedAccessScratch,
 };
 pub use lines::LineWalk;
 pub use vector_cache::{VectorAccessOutcome, VectorCache};

@@ -42,6 +42,10 @@ pub enum Counter {
     /// Batched replay walks (one walk retiming one or more variants; the
     /// per-variant runs land in `TraceReplays`).
     ReplayBatches,
+    /// Timing-distinct lanes those walks actually stepped: variants that
+    /// would retime identically share one lane, so this is at most
+    /// `TraceReplays`.
+    ReplayLanes,
     /// Scalar loads/stores and vector loads/stores timed by the hierarchy.
     MemScalarLoads,
     MemScalarStores,
@@ -89,7 +93,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 39] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::SchedBlocks,
@@ -100,6 +104,7 @@ impl Counter {
         Counter::TraceRecords,
         Counter::TraceReplays,
         Counter::ReplayBatches,
+        Counter::ReplayLanes,
         Counter::MemScalarLoads,
         Counter::MemScalarStores,
         Counter::MemVectorLoads,
@@ -143,6 +148,7 @@ impl Counter {
             Counter::TraceRecords => "trace_records",
             Counter::TraceReplays => "trace_replays",
             Counter::ReplayBatches => "replay_batches",
+            Counter::ReplayLanes => "replay_lanes",
             Counter::MemScalarLoads => "mem_scalar_loads",
             Counter::MemScalarStores => "mem_scalar_stores",
             Counter::MemVectorLoads => "mem_vector_loads",

@@ -15,12 +15,14 @@
 //! ```
 //!
 //! `cache_hit_rate` (hits / lookups), `trace_replay_rate` (replays /
-//! completed simulations) and `mean_batch_width` (variants per batched
-//! replay walk) are derived and re-derived on parse, so the schema stays
-//! redundancy-free; consumers that only want the headline numbers never
-//! have to do arithmetic.  The `hists` section (plain value histograms, no
-//! nanosecond unit) was added after the schema shipped; documents without
-//! it parse to an empty section, so old snapshots stay readable.
+//! completed simulations), `mean_batch_width` (variants per batched
+//! replay walk) and `replay_lane_ratio` (lanes walked / replays) are
+//! derived and re-derived on parse, so the schema stays redundancy-free;
+//! consumers that only want the headline numbers never have to do
+//! arithmetic.  The `hists` section (plain value histograms, no nanosecond
+//! unit) and the `replay_lanes` counter were added after the schema
+//! shipped; documents without them parse to an empty section and an absent
+//! counter (no derived ratio), so old snapshots stay readable.
 
 use crate::hist::HistSnapshot;
 use crate::json::Json;
@@ -91,6 +93,15 @@ impl Snapshot {
         (h.count > 0).then(|| h.sum as f64 / h.count as f64)
     }
 
+    /// Lanes walked per requested replay, in (0, 1]: below 1 when batches
+    /// held timing-equivalent variants; `None` before any replay or in a
+    /// document that predates the `replay_lanes` counter.
+    pub fn replay_lane_ratio(&self) -> Option<f64> {
+        let lanes = self.counter("replay_lanes")?;
+        let replays = self.counter("trace_replays")?;
+        (replays > 0).then(|| lanes as f64 / replays as f64)
+    }
+
     /// Full canonical JSON document: every counter (zero or not), every
     /// span, schema tag first.
     pub fn to_json(&self) -> Json {
@@ -116,6 +127,9 @@ impl Snapshot {
             }
             if let Some(width) = self.mean_batch_width() {
                 fields.push(("mean_batch_width".into(), Json::Num(width)));
+            }
+            if let Some(ratio) = self.replay_lane_ratio() {
+                fields.push(("replay_lane_ratio".into(), Json::Num(ratio)));
             }
             let counters: Vec<(String, Json)> = self
                 .counters
@@ -388,6 +402,44 @@ mod tests {
         assert_eq!(snap.counter("sim_runs"), Some(2));
         let span = snap.span("trace_replay_ns").unwrap();
         assert_eq!((span.count, span.sum), (2, 900));
+    }
+
+    #[test]
+    fn replay_lane_ratio_is_derived_and_round_trips() {
+        let r = busy_recorder();
+        r.add(Counter::TraceReplays, 8);
+        r.add(Counter::ReplayLanes, 2);
+        let snap = r.snapshot();
+        assert_eq!(snap.replay_lane_ratio(), Some(0.25));
+        let doc = snap.to_json();
+        let ratio = doc.get("replay_lane_ratio").and_then(Json::as_f64).unwrap();
+        assert!((ratio - 0.25).abs() < 1e-12);
+        let text = doc.render();
+        let back = Snapshot::parse(&text).unwrap();
+        assert_eq!(back, snap);
+        assert_eq!(back.to_json().render(), text, "canonical across the trip");
+        let compact = Snapshot::parse(&snap.to_json_compact().render()).unwrap();
+        assert_eq!(compact.counter("replay_lanes"), Some(2));
+        assert_eq!(compact.replay_lane_ratio(), Some(0.25));
+        // No replays → no ratio, no field.
+        let idle = busy_recorder().snapshot();
+        assert_eq!(idle.replay_lane_ratio(), None);
+        assert!(idle.to_json().get("replay_lane_ratio").is_none());
+    }
+
+    #[test]
+    fn documents_without_the_replay_lanes_counter_still_parse() {
+        // A snapshot written before lanes were counted: replays but no
+        // `replay_lanes` key.  It loads, and derives no lane ratio.
+        let old = "{\"schema\":\"vmv-metrics/1\",\"enabled\":true,\
+                   \"trace_replay_rate\":0.75,\
+                   \"counters\":{\"sim_runs\":1,\"trace_replays\":3,\"replay_batches\":1},\
+                   \"spans\":{}}";
+        let snap = Snapshot::parse(old).unwrap();
+        assert_eq!(snap.counter("trace_replays"), Some(3));
+        assert_eq!(snap.counter("replay_lanes"), None);
+        assert_eq!(snap.replay_lane_ratio(), None);
+        assert!(snap.to_json().get("replay_lane_ratio").is_none());
     }
 
     #[test]

@@ -45,12 +45,28 @@
 //! Because the trace is memory-model- and memory-geometry-independent, a
 //! memory-axis sweep executes each functional simulation **once** and
 //! retimes every other variant from the recording.
+//!
+//! # Lanes, leaders and followers
+//!
+//! Within a batch, two layers of sharing cut the per-variant work:
+//!
+//! * **Lanes.**  Variants that time every access stream identically
+//!   ([`vmv_mem::timing_equivalent_configs`], equal cycle limit) share one
+//!   timing state.  A perfect memory never reads tags or reaches the L3 or
+//!   main memory, so its geometry and L3/memory latency variants collapse
+//!   into one lane; exact duplicates collapse under either model.  Each
+//!   requested variant gets a copy of its lane's results.
+//! * **Leaders and followers.**  Lanes of one tag-equivalence class
+//!   ([`vmv_mem::tag_equivalent_configs`]) see the same hits and misses.
+//!   One leader per class steps a real [`MemoryHierarchy`]; the other lanes
+//!   are priced from the leader's [`vmv_mem::AccessEcho`] by the class's
+//!   struct-of-arrays [`FollowerPricer`], with latency arithmetic only.
 
 use std::sync::Arc;
 
 use vmv_isa::{Opcode, MAX_VL, NO_SLOT};
 use vmv_machine::MachineConfig;
-use vmv_mem::{MemoryHierarchy, MemoryModel, SharedAccessScratch};
+use vmv_mem::{FollowerPricer, MemoryHierarchy, MemoryModel, SharedAccessScratch};
 use vmv_sched::LoweredProgram;
 
 use crate::engine::Simulator;
@@ -381,11 +397,11 @@ impl std::error::Error for ReplayError {}
 
 /// The per-variant timing parameters of a batched replay: the memory model
 /// and machine fields the walk prices against.  Construction is free — the
-/// walk itself decides per variant whether it needs a full tag-simulating
-/// [`MemoryHierarchy`] (one per tag-equivalence class) or only a
-/// latency-arithmetic [`vmv_mem::EchoPricer`].  Everything else
-/// (scoreboard, clock, L2-port cursor) lives in the walk's
-/// struct-of-arrays scratch.
+/// walk itself groups variants into timing-equivalent lanes and decides per
+/// lane whether it needs a full tag-simulating [`MemoryHierarchy`] (one per
+/// tag-equivalence class) or only latency arithmetic in the class's
+/// [`FollowerPricer`].  Everything else (scoreboard, clock, L2-port cursor)
+/// lives in the walk's struct-of-arrays scratch.
 pub struct VariantState {
     model: MemoryModel,
     memory: vmv_machine::MemoryParams,
@@ -415,25 +431,93 @@ impl VariantState {
             slots: analysis.total_slots(),
         }
     }
+
+    /// The `(model, params, port)` triple the `vmv_mem` class predicates take.
+    fn config(&self) -> (MemoryModel, &vmv_machine::MemoryParams, u32) {
+        (self.model, &self.memory, self.port_elems)
+    }
 }
 
-/// How one variant of a batch prices recorded accesses: class leaders walk
-/// real tags, followers replay the leader's echoes.
-// One entry per variant, K entries total — the size skew between a full
-// hierarchy and an echo pricer is irrelevant at batch widths, and an
-// indirection on the leader would cost a pointer chase per priced access.
-#[allow(clippy::large_enum_variant)]
-enum Pricer {
-    Leader(MemoryHierarchy),
-    Follower(vmv_mem::EchoPricer),
+/// One timing state of the walk: the variant it prices against, and the
+/// index of the first requested variant it stands for.
+#[derive(Clone, Copy)]
+struct Lane<'a> {
+    variant: &'a VariantState,
+    first: usize,
 }
 
-impl Pricer {
-    fn stats(&self) -> vmv_mem::MemStats {
-        match self {
-            Pricer::Leader(h) => h.stats,
-            Pricer::Follower(p) => p.stats,
+/// A batch's variants grouped into lanes: variants that time every access
+/// stream identically ([`vmv_mem::timing_equivalent_configs`], the same
+/// cycle limit and slot stamp) share one lane, which the walk steps once.
+/// A `Perfect` sweep over cache geometry or L3/memory latency collapses to
+/// one lane per `(l1_latency, l2_latency, port)`.
+struct Lanes<'a> {
+    /// Lanes in walk order: each tag-equivalence class occupies a
+    /// contiguous run, leader first, so its followers' latencies land in one
+    /// slice.
+    lanes: Vec<Lane<'a>>,
+    /// Walk position of each requested variant's lane.
+    lane_of: Vec<usize>,
+}
+
+impl<'a> Lanes<'a> {
+    fn group(variants: &'a [VariantState]) -> Lanes<'a> {
+        let same_timing = |a: &VariantState, b: &VariantState| {
+            vmv_mem::timing_equivalent_configs(a.config(), b.config())
+                && a.max_cycles == b.max_cycles
+                && a.slots == b.slots
+        };
+        // Lanes by first occurrence, then a stable sort by tag class.
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut lane_of: Vec<usize> = Vec::with_capacity(variants.len());
+        for (i, v) in variants.iter().enumerate() {
+            let lane = match firsts.iter().position(|&f| same_timing(&variants[f], v)) {
+                Some(lane) => lane,
+                None => {
+                    firsts.push(i);
+                    firsts.len() - 1
+                }
+            };
+            lane_of.push(lane);
         }
+        let mut leaders: Vec<usize> = Vec::new();
+        let class: Vec<usize> = firsts
+            .iter()
+            .map(|&f| {
+                let v = variants[f].config();
+                match leaders
+                    .iter()
+                    .position(|&l| vmv_mem::tag_equivalent_configs(variants[l].config(), v))
+                {
+                    Some(c) => c,
+                    None => {
+                        leaders.push(f);
+                        leaders.len() - 1
+                    }
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..firsts.len()).collect();
+        order.sort_by_key(|&lane| class[lane]);
+        let mut position = vec![0; firsts.len()];
+        for (p, &lane) in order.iter().enumerate() {
+            position[lane] = p;
+        }
+        Lanes {
+            lanes: order
+                .iter()
+                .map(|&lane| Lane {
+                    variant: &variants[firsts[lane]],
+                    first: firsts[lane],
+                })
+                .collect(),
+            lane_of: lane_of.into_iter().map(|lane| position[lane]).collect(),
+        }
+    }
+
+    /// One copy of its lane's result per requested variant.
+    fn expand<T: Clone>(&self, per_lane: &[T]) -> Vec<T> {
+        self.lane_of.iter().map(|&p| per_lane[p].clone()).collect()
     }
 }
 
@@ -441,10 +525,11 @@ impl Pricer {
 /// lockstep.  The decoded trace — block sequence, access stream, `setvl`
 /// values, collapsed timing-inert segments — is walked a single time; only
 /// the timing state (scoreboard, clock, L2-port cursor, hierarchy) is
-/// per-variant, held in struct-of-arrays layout so the inner loops are
-/// tight passes over K contiguous values.  `out[k]` is bit-identical to
-/// executing the program on variant `k` with the lowered engine; the
-/// differential and property suites (`tests/lowered_differential.rs`,
+/// per-lane, held in struct-of-arrays layout so the inner loops are tight
+/// passes over contiguous values.  Variants that would retime identically
+/// share one lane ([`Lanes`]).  `out[k]` is bit-identical to executing the
+/// program on variant `k` with the lowered engine; the differential and
+/// property suites (`tests/lowered_differential.rs`,
 /// `tests/trace_replay.rs`) enforce exactly that.
 ///
 /// Errors that depend on the variant (`CycleLimit`) fail the whole batch;
@@ -455,7 +540,14 @@ pub fn replay_batch(
     analysis: &ReplayAnalysis,
     variants: &[VariantState],
 ) -> Result<Vec<RunStats>, ReplayError> {
-    replay_batch_with(trace, analysis, variants, &mut NoBatchProfile)
+    replay_batch_with(
+        trace,
+        analysis,
+        variants,
+        |_| NoBatchProfile,
+        |_, lanes| vec![(); lanes],
+    )
+    .map(|(out, _)| out)
 }
 
 /// [`replay_batch`] with cycle attribution: one extra pass piggybacked on
@@ -470,41 +562,30 @@ pub fn replay_batch_profiled(
     variants: &[VariantState],
     statics: &Arc<ProfileStatics>,
 ) -> Result<(Vec<RunStats>, Vec<Profile>), ReplayError> {
-    let mut bp = BatchProfiler::new(statics, variants.len());
-    let out = replay_batch_with(trace, analysis, variants, &mut bp)?;
-    let profiles = bp.finish();
+    let (out, profiles) = replay_batch_with(
+        trace,
+        analysis,
+        variants,
+        |lanes| BatchProfiler::new(statics, lanes),
+        |bp, _| bp.finish(),
+    )?;
     for p in &profiles {
         p.record_obs();
     }
     Ok((out, profiles))
 }
 
-fn replay_batch_with<BP: BatchSink>(
+/// The body of both entry points: walk each lane once with the sink
+/// `sink(lanes)`, then hand every requested variant a copy of its lane's
+/// `RunStats` and of its entry of `finish(sink, lanes)`.  Telemetry counts
+/// requested variants; only `replay_lanes` counts lanes.
+fn replay_batch_with<BP: BatchSink, P: Clone>(
     trace: &Trace,
     analysis: &ReplayAnalysis,
     variants: &[VariantState],
-    bp: &mut BP,
-) -> Result<Vec<RunStats>, ReplayError> {
-    // A batch of one — every `vmv_core::simulate` retime — runs its own
-    // copy of the walk with the width fixed at compile time.  Sharing one
-    // copy with wide batches made single-variant retimes 30–50% slower
-    // when the two interleave, as they do in a sweep (measured on a 2-core
-    // x86-64 VM).
-    match variants.len() {
-        0 => Ok(Vec::new()),
-        1 => walk::<BP, true>(trace, analysis, variants, bp),
-        _ => walk::<BP, false>(trace, analysis, variants, bp),
-    }
-}
-
-/// The replay walk over `K = variants.len()` variants (`ONE`: `K == 1`).
-fn walk<BP: BatchSink, const ONE: bool>(
-    trace: &Trace,
-    analysis: &ReplayAnalysis,
-    variants: &[VariantState],
-    bp: &mut BP,
-) -> Result<Vec<RunStats>, ReplayError> {
-    let k = if ONE { 1 } else { variants.len() };
+    sink: impl FnOnce(usize) -> BP,
+    finish: impl FnOnce(BP, usize) -> Vec<P>,
+) -> Result<(Vec<RunStats>, Vec<P>), ReplayError> {
     for (i, v) in variants.iter().enumerate() {
         if v.slots != analysis.total_slots() {
             return Err(ReplayError::VariantSlotMismatch {
@@ -515,9 +596,57 @@ fn walk<BP: BatchSink, const ONE: bool>(
         }
     }
     let _span = vmv_obs::span(vmv_obs::SpanKind::ReplayBatch);
+    // A batch of one — every `vmv_core::simulate` retime — skips lane
+    // grouping and runs its own copy of the walk with the width fixed at
+    // compile time.  Sharing one copy with wide batches made single-variant
+    // retimes 30–50% slower when the two interleave, as they do in a sweep
+    // (measured on a 2-core x86-64 VM).
+    let (out, extra, lanes) = match variants.len() {
+        0 => return Ok((Vec::new(), Vec::new())),
+        1 => {
+            let mut bp = sink(1);
+            let lone = [Lane {
+                variant: &variants[0],
+                first: 0,
+            }];
+            let out = walk::<BP, true>(trace, analysis, &lone, &mut bp)?;
+            (out, finish(bp, 1), 1)
+        }
+        _ => {
+            let lanes = Lanes::group(variants);
+            let width = lanes.lanes.len();
+            let mut bp = sink(width);
+            let out = if width == 1 {
+                walk::<BP, true>(trace, analysis, &lanes.lanes, &mut bp)?
+            } else {
+                walk::<BP, false>(trace, analysis, &lanes.lanes, &mut bp)?
+            };
+            let extra = finish(bp, width);
+            (lanes.expand(&out), lanes.expand(&extra), width)
+        }
+    };
+    for stats in &out {
+        stats.memory.record_obs();
+    }
+    vmv_obs::add(vmv_obs::Counter::TraceReplays, out.len() as u64);
+    vmv_obs::incr(vmv_obs::Counter::ReplayBatches);
+    vmv_obs::add(vmv_obs::Counter::ReplayLanes, lanes as u64);
+    vmv_obs::record_value(vmv_obs::ValueHist::ReplayBatchWidth, out.len() as u64);
+    Ok((out, extra))
+}
+
+/// The replay walk over `K = lanes.len()` lanes (`ONE`: `K == 1`).  Each
+/// tag-equivalence class must occupy a contiguous run of `lanes`.
+fn walk<BP: BatchSink, const ONE: bool>(
+    trace: &Trace,
+    analysis: &ReplayAnalysis,
+    lanes: &[Lane],
+    bp: &mut BP,
+) -> Result<Vec<RunStats>, ReplayError> {
+    let k = if ONE { 1 } else { lanes.len() };
 
     // Struct-of-arrays timing state.  The scoreboard is slot-major
-    // (`ready[slot * k + variant]`) so the per-read-slot inner loop walks
+    // (`ready[slot * k + lane]`) so the per-read-slot inner loop walks
     // K contiguous words.
     let mut ready: Vec<u64> = vec![0; analysis.total_slots() * k];
     let mut clock: Vec<u64> = vec![0; k];
@@ -526,44 +655,52 @@ fn walk<BP: BatchSink, const ONE: bool>(
     let mut block_start: Vec<u64> = vec![0; k];
     let mut block_stalls: Vec<u64> = vec![0; k];
     let mut lat: Vec<u64> = vec![0; k];
+    let max_cycles: Vec<u64> = lanes.iter().map(|l| l.variant.max_cycles).collect();
+    let port_elems: Vec<u32> = lanes.iter().map(|l| l.variant.port_elems).collect();
     let mut line_memo = SharedAccessScratch::new();
-    // Per-variant wait-level causes for one memory access, broadcast from
+    // Per-lane wait-level causes for one memory access, broadcast from
     // each class leader's echo (followers share the leader's hit/miss
     // pattern by construction of the tag-equivalence classes).
     let mut cause_k: Vec<Cause> = vec![Cause::RawStall; if BP::ENABLED { k } else { 0 }];
 
-    // Partition the variants into tag-equivalence classes: configurations
-    // sharing model, geometry and port width produce identical hit/miss
-    // behaviour, so one *leader* per class walks the real tags and every
-    // follower is priced from the leader's access echo — pure latency
-    // arithmetic, no tag simulation, and no tag arrays to allocate.  A
+    // Split the lanes into their tag-equivalence classes: configurations
+    // sharing model, port width and (for `Realistic`) geometry produce
+    // identical hit/miss behaviour, so one *leader* per class walks the
+    // real tags and the class's followers are priced from the leader's
+    // access echo — latency arithmetic only, no tag arrays to allocate.  A
     // memory-latency sweep collapses to one class; a geometry sweep
-    // degrades gracefully to K singleton leaders.
-    let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, v) in variants.iter().enumerate() {
-        match classes.iter_mut().find(|(leader, _)| {
-            let l = &variants[*leader];
-            vmv_mem::tag_equivalent_configs(
-                (l.model, &l.memory, l.port_elems),
-                (v.model, &v.memory, v.port_elems),
-            )
-        }) {
-            Some((_, followers)) => followers.push(i),
-            None => classes.push((i, Vec::new())),
-        }
+    // degrades gracefully to one leader per geometry.
+    struct Class {
+        /// Walk position of the leader; its followers follow it.
+        leader: usize,
+        followers: FollowerPricer,
     }
-    let mut pricers: Vec<Pricer> = variants
-        .iter()
-        .map(|v| Pricer::Follower(vmv_mem::EchoPricer::new(v.memory, v.port_elems)))
-        .collect();
-    for (leader, _) in &classes {
-        let v = &variants[*leader];
-        pricers[*leader] = Pricer::Leader(MemoryHierarchy::new(v.model, v.memory, v.port_elems));
+    let mut leaders: Vec<MemoryHierarchy> = Vec::new();
+    let mut classes: Vec<Class> = Vec::new();
+    for (p, lane) in lanes.iter().enumerate() {
+        let v = lane.variant;
+        match classes.last_mut() {
+            Some(class)
+                if vmv_mem::tag_equivalent_configs(
+                    lanes[class.leader].variant.config(),
+                    v.config(),
+                ) =>
+            {
+                class.followers.push(&v.memory)
+            }
+            _ => {
+                leaders.push(MemoryHierarchy::new(v.model, v.memory, v.port_elems));
+                classes.push(Class {
+                    leader: p,
+                    followers: FollowerPricer::new(v.port_elems),
+                });
+            }
+        }
     }
 
     // Region accumulation: functional totals (instructions, operations,
-    // micro-ops) are identical across variants and accumulate once;
-    // cycles and stalls are per-variant.
+    // micro-ops) are identical across lanes and accumulate once; cycles
+    // and stalls are per-lane.
     struct RegionAcc {
         id: vmv_isa::RegionId,
         shared: crate::stats::RegionStats,
@@ -693,9 +830,9 @@ fn walk<BP: BatchSink, const ONE: bool>(
                         .ok_or(ReplayError::TruncatedAccesses { consumed: ai })?;
                     ai += 1;
                     if access.is_vector {
-                        for (kk, v) in variants.iter().enumerate() {
+                        for kk in 0..k {
                             let occupancy = if access.stride == 8 {
-                                access.elems.div_ceil(v.port_elems)
+                                access.elems.div_ceil(port_elems[kk])
                             } else {
                                 access.elems
                             };
@@ -705,38 +842,27 @@ fn walk<BP: BatchSink, const ONE: bool>(
                             bp.vec_port_all(op_idx);
                         }
                     }
-                    // Memory latency is the one per-variant quantity: the
+                    // Memory latency is the one per-lane quantity: the
                     // class leader walks its real tags (irregular line
                     // walks memoized once across classes), and followers
                     // are priced from the echo.
-                    for (leader, followers) in &classes {
-                        let Pricer::Leader(hierarchy) = &mut pricers[*leader] else {
-                            unreachable!("class leaders carry a full hierarchy")
-                        };
+                    for (leader, class) in leaders.iter_mut().zip(&mut classes) {
                         if ONE && !BP::ENABLED {
-                            // A lone unprofiled variant has no one to echo
+                            // A lone unprofiled lane has no one to echo
                             // to: price the access directly.
-                            lat[0] = Simulator::memory_latency_on(hierarchy, access) as u64;
+                            lat[0] = Simulator::memory_latency_on(leader, access) as u64;
                             continue;
                         }
                         let (leader_lat, echo) =
-                            Simulator::memory_latency_echo(hierarchy, access, &mut line_memo);
-                        lat[*leader] = leader_lat as u64;
+                            Simulator::memory_latency_echo(leader, access, &mut line_memo);
+                        let (lo, hi) = (class.leader, class.leader + 1 + class.followers.len());
+                        lat[lo] = leader_lat as u64;
                         if BP::ENABLED {
                             // Followers share the leader's hit/miss pattern,
                             // so the wait level broadcasts across the class.
-                            let cause = Cause::wait_for_echo(&echo);
-                            cause_k[*leader] = cause;
-                            for &f in followers {
-                                cause_k[f] = cause;
-                            }
+                            cause_k[lo..hi].fill(Cause::wait_for_echo(&echo));
                         }
-                        for &f in followers {
-                            let Pricer::Follower(pricer) = &mut pricers[f] else {
-                                unreachable!("class followers carry an echo pricer")
-                            };
-                            lat[f] = pricer.apply_echo(&echo).latency as u64;
-                        }
+                        class.followers.price(&echo, &mut lat[lo + 1..hi]);
                     }
                     if op.dst_slot != NO_SLOT {
                         let row_at = op.dst_slot as usize * k;
@@ -791,12 +917,20 @@ fn walk<BP: BatchSink, const ONE: bool>(
 
             // The engine checks the limit after every bundle; the clock
             // is monotone within a segment, so checking at segment ends
-            // reaches the same error decision.
-            for (kk, v) in variants.iter().enumerate() {
+            // reaches the same error decision.  (It starts at zero, so it
+            // always exceeds the limit no later than the per-block count.)
+            let mut over = false;
+            for kk in 0..k {
                 clock[kk] = issue[kk] + 1;
-                if clock[kk] - block_start[kk] > v.max_cycles || clock[kk] > v.max_cycles {
-                    return Err(ReplayError::CycleLimit(v.max_cycles));
-                }
+                over |= clock[kk] > max_cycles[kk];
+            }
+            if over {
+                // The error of the first requested variant over its limit.
+                let kk = (0..k)
+                    .filter(|&kk| clock[kk] > max_cycles[kk])
+                    .min_by_key(|&kk| lanes[kk].first)
+                    .expect("some lane is over its limit");
+                return Err(ReplayError::CycleLimit(max_cycles[kk]));
             }
         }
 
@@ -841,8 +975,15 @@ fn walk<BP: BatchSink, const ONE: bool>(
         });
     }
 
+    let mut memory = vec![vmv_mem::MemStats::default(); k];
+    for (leader, class) in leaders.iter().zip(&classes) {
+        memory[class.leader] = leader.stats;
+        for f in 0..class.followers.len() {
+            memory[class.leader + 1 + f] = class.followers.stats(f, &leader.stats);
+        }
+    }
     let mut out = Vec::with_capacity(k);
-    for (kk, pricer) in pricers.iter().enumerate() {
+    for (kk, memory) in memory.into_iter().enumerate() {
         let mut stats = RunStats::default();
         for &id in &analysis.regions {
             stats.region_mut(id);
@@ -853,12 +994,54 @@ fn walk<BP: BatchSink, const ONE: bool>(
             r.stall_cycles = acc.stalls[kk];
             stats.region_mut(acc.id).add(&r);
         }
-        stats.memory = pricer.stats();
-        stats.memory.record_obs();
-        vmv_obs::incr(vmv_obs::Counter::TraceReplays);
+        stats.memory = memory;
         out.push(stats);
     }
-    vmv_obs::incr(vmv_obs::Counter::ReplayBatches);
-    vmv_obs::record_value(vmv_obs::ValueHist::ReplayBatchWidth, k as u64);
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vmv_machine::MemoryParams;
+
+    fn state(model: MemoryModel, memory: MemoryParams, max_cycles: u64) -> VariantState {
+        VariantState {
+            model,
+            memory,
+            port_elems: 4,
+            max_cycles,
+            slots: 7,
+        }
+    }
+
+    #[test]
+    fn lanes_collapse_timing_equivalent_variants_and_keep_classes_contiguous() {
+        let d = MemoryParams::default();
+        let slow = MemoryParams {
+            mem_latency: d.mem_latency * 2,
+            ..d
+        };
+        let reshaped = MemoryParams {
+            l1_size: d.l1_size / 2,
+            ..slow
+        };
+        let variants = [
+            state(MemoryModel::Realistic, d, 100),    // 0: class R, lane a
+            state(MemoryModel::Perfect, d, 100),      // 1: class P, lane b
+            state(MemoryModel::Realistic, slow, 100), // 2: class R, lane c
+            state(MemoryModel::Perfect, reshaped, 100), // 3: lane b (geometry, memory latency)
+            state(MemoryModel::Realistic, d, 100),    // 4: lane a (exact duplicate)
+            state(MemoryModel::Perfect, d, 50),       // 5: class P, own lane (limit)
+        ];
+        let lanes = Lanes::group(&variants);
+        let firsts: Vec<usize> = lanes.lanes.iter().map(|l| l.first).collect();
+        // Realistic lanes {0, 2} first (class of variant 0), then Perfect.
+        assert_eq!(firsts, [0, 2, 1, 5]);
+        assert_eq!(lanes.lane_of, [0, 2, 1, 2, 0, 3]);
+        assert_eq!(
+            lanes.expand(&['a', 'c', 'b', 'x']),
+            ['a', 'b', 'c', 'b', 'a', 'x']
+        );
+    }
 }

@@ -11,7 +11,8 @@ use vmv::kernels::Benchmark;
 use vmv::machine::{presets, MachineConfig};
 use vmv::mem::MemoryModel;
 use vmv::sim::{
-    replay_batch, ReplayAnalysis, ReplayError, RunStats, SimOptions, Simulator, Trace, VariantState,
+    replay_batch, replay_batch_profiled, ReplayAnalysis, ReplayError, RunStats, SimOptions,
+    Simulator, Trace, VariantState,
 };
 
 const MAX_CYCLES: u64 = 2_000_000_000;
@@ -274,6 +275,79 @@ fn random_variant_subsets_match_fresh_execution() {
                 batched[slot], oracle[i],
                 "round {round}: batch slot {slot} (pool entry {i}) diverged"
             );
+        }
+    }
+}
+
+#[test]
+fn timing_equivalent_variants_share_lanes_and_match_fresh_execution() {
+    // Seeded property test over batches that repeat work: exact duplicates,
+    // and Perfect variants that differ only in what a perfect memory never
+    // reads (cache geometry, L3 and memory latency).  Such variants share
+    // one walked lane; every slot must still equal fresh execution of its
+    // own variant, profiled or not, and every profile must satisfy the
+    // sum-exactly contract and equal the profile of a batch of one.
+    let machine = presets::vector2(4);
+    let (prepared, _, trace) = record(Benchmark::GsmDec, &machine, MemoryModel::Realistic);
+    let analysis = ReplayAnalysis::build(&prepared.lowered);
+    let statics = prepared.profile_statics(&machine);
+
+    let with = |edit: &dyn Fn(&mut MachineConfig)| {
+        let mut m = machine.clone();
+        edit(&mut m);
+        m
+    };
+    let pool: Vec<(MachineConfig, MemoryModel)> = vec![
+        (machine.clone(), MemoryModel::Perfect),
+        (with(&|m| m.memory.l1_size /= 2), MemoryModel::Perfect),
+        (with(&|m| m.memory.l2_line *= 2), MemoryModel::Perfect),
+        (with(&|m| m.memory.l3_size *= 2), MemoryModel::Perfect),
+        (with(&|m| m.memory.l3_latency += 9), MemoryModel::Perfect),
+        (with(&|m| m.memory.mem_latency *= 2), MemoryModel::Perfect),
+        (with(&|m| m.memory.l2_latency += 3), MemoryModel::Perfect),
+        (machine.clone(), MemoryModel::Realistic),
+        (with(&|m| m.memory.mem_latency *= 2), MemoryModel::Realistic),
+        (with(&|m| m.memory.l2_size /= 2), MemoryModel::Realistic),
+    ];
+    let oracle: Vec<RunStats> = pool
+        .iter()
+        .map(|(m, model)| simulate_fresh(&prepared, m, *model).unwrap().stats)
+        .collect();
+    let lone_profile: Vec<vmv::sim::Profile> = pool
+        .iter()
+        .map(|(m, model)| {
+            let one = [VariantState::new(&analysis, m, *model, MAX_CYCLES)];
+            let (_, mut profiles) =
+                replay_batch_profiled(&trace, &analysis, &one, &statics).unwrap();
+            profiles.pop().unwrap()
+        })
+        .collect();
+
+    let mut rng = SmallRng::seed_from_u64(0x1A4E_5EED);
+    for round in 0..10 {
+        // 2..=8 draws with replacement, then one forced exact duplicate.
+        let width = rng.gen_range_i64(2, 8) as usize;
+        let mut picks: Vec<usize> = (0..width)
+            .map(|_| rng.gen_range_i64(0, pool.len() as i64 - 1) as usize)
+            .collect();
+        picks.push(picks[rng.gen_range_i64(0, width as i64 - 1) as usize]);
+        let variants: Vec<VariantState> = picks
+            .iter()
+            .map(|&i| VariantState::new(&analysis, &pool[i].0, pool[i].1, MAX_CYCLES))
+            .collect();
+        let plain = replay_batch(&trace, &analysis, &variants).unwrap();
+        let (profiled, profiles) =
+            replay_batch_profiled(&trace, &analysis, &variants, &statics).unwrap();
+        assert_eq!(plain.len(), picks.len());
+        assert_eq!(profiles.len(), picks.len());
+        for (slot, &i) in picks.iter().enumerate() {
+            let ctx = format!("round {round}: slot {slot} (pool entry {i}, picks {picks:?})");
+            assert_eq!(plain[slot], oracle[i], "unprofiled {ctx}");
+            assert_eq!(profiled[slot], oracle[i], "profiled {ctx}");
+            profiles[slot]
+                .check_against(&profiled[slot])
+                .unwrap_or_else(|e| panic!("attribution {ctx}: {e}"));
+            assert_eq!(profiles[slot], lone_profile[i], "profile {ctx}");
         }
     }
 }
